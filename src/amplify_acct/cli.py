@@ -135,8 +135,9 @@ def _build_mechanism(args) -> object:
     rate = getattr(args, "poisson", None)
     if rate is not None and mech != "gaussian":
         raise CliError(
-            f"--poisson data subsampling combined with {mech} is not accountable: "
-            "the composition is unspecified (see decisions ledger); refusing"
+            f"--poisson data subsampling combined with {mech} is not accountable: each iteration "
+            f"would release a mixture over both the subsampling draw and the {mech} randomness, "
+            "and no divergence bound for that nested mixture is implemented; refusing"
         )
     if mech == "gaussian":
         if rate is not None:

@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rdp_math import (
     GenericMixture,
     MixtureFamily,
+    _logsumexp,
     epsilon_loose,
     family_mixture,
     forward_bound,
@@ -124,7 +124,7 @@ def mixture_logpdf(mixture: GenericMixture, x: np.ndarray) -> np.ndarray:
     sq = np.einsum("bnd,bnd->bn", diff, diff)
     comp = np.log(mixture.weights)[None, :] - sq / (2.0 * mixture.sigma**2)
     norm = 0.5 * mixture.dim * math.log(2.0 * math.pi * mixture.sigma**2)
-    return logsumexp(comp, axis=1) - norm
+    return _logsumexp(comp, axis=1) - norm
 
 
 def sample_mixture(mixture: GenericMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,8 +203,8 @@ def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: Quadra
         logw_mesh = np.meshgrid(logws[0][start:stop], *logws[1:], indexing="ij")
         logw = sum(m.ravel() for m in logw_mesh)
         vals = a * mixture_logpdf(m_num, pts) + (1 - a) * mixture_logpdf(m_den, pts) + logw
-        chunk_logs.append(logsumexp(vals))
-    return float(logsumexp(chunk_logs)) / (a - 1)
+        chunk_logs.append(_logsumexp(vals))
+    return float(_logsumexp(chunk_logs)) / (a - 1)
 
 
 def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec | None = None) -> McEstimate:

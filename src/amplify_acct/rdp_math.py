@@ -34,8 +34,9 @@ orders ``alpha >= 2`` this module evaluates:
 * ``gaussian_rdp_same_mean`` -- equal-mean Gaussians with different
                                 isotropic variances.
 
-Every sum of exponentials runs in log space (log-gamma binomials plus
-max-shifted log-sum-exp), so results stay finite for d up to 1e6 and
+Every sum of exponentials runs in log space (log-gamma binomials from
+``math.lgamma`` plus a numpy log-sum-exp that takes the largest term out
+of the sum, ``_logsumexp``), so results stay finite for d up to 1e6 and
 alpha up to 1000.  Fractional orders raise ``ValueError`` instead of being
 interpolated.  All functions are pure; nothing here holds mutable state.
 """
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "CostLimitError",
@@ -100,9 +100,46 @@ def validate_order(alpha) -> int:
     return a
 
 
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all entries when None), in numpy.
+
+    The largest entry is taken out of the sum: top + log(count) +
+    log1p(sum of exp(a - top) over the other entries / count), where count
+    is how many entries equal top.  Summing the rest through log1p keeps
+    full relative precision when they are tiny next to the top, which a
+    plain top + log(sum) loses.  Rows whose entries are all -inf give -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    is_top = a == top
+    count = np.sum(is_top, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    rest = np.sum(np.exp(np.where(is_top, -np.inf, a - shift)), axis=axis, keepdims=True)
+    out = np.log1p(rest / count) + np.log(count) + top
+    return out.reshape(())[()] if axis is None else np.squeeze(out, axis=axis)
+
+
+def _lgamma_one(v: float) -> float:
+    # math.lgamma raises at the poles 0, -1, -2, ...; log|Gamma| is +inf there.
+    return math.inf if v <= 0.0 and v.is_integer() else math.lgamma(v)
+
+
+_lgamma_each = np.frompyfunc(_lgamma_one, 1, 1)
+
+
+def _lgamma(x) -> np.ndarray:
+    """log|Gamma(x)| elementwise, by ``math.lgamma`` once per distinct value."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return np.float64(_lgamma_one(float(x)))
+    values, inverse = np.unique(x, return_inverse=True)
+    return _lgamma_each(values).astype(float)[inverse.ravel()].reshape(x.shape)
+
+
 def log_comb(n, k):
-    """log of the binomial coefficient, vectorized, via log-gamma."""
-    return gammaln(np.asarray(n) + 1) - gammaln(np.asarray(k) + 1) - gammaln(np.asarray(n) - np.asarray(k) + 1)
+    """log of the binomial coefficient, vectorized, via log-gamma (``math.lgamma``)."""
+    n, k = np.asarray(n), np.asarray(k)
+    return _lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +259,7 @@ def forward_bound_curve(family: MixtureFamily, orders) -> np.ndarray:
         return np.zeros(len(a))
     base = _overlap_log_weights(d, k)
     rate = c * c / (2.0 * sigma * sigma) * np.arange(k + 1)
-    vals = logsumexp(base[None, :] + np.outer(a, rate), axis=1)
+    vals = _logsumexp(base[None, :] + np.outer(a, rate), axis=1)
     return np.maximum(vals, 0.0)
 
 
@@ -244,12 +281,15 @@ def poisson_gaussian_curve(c: float, sigma: float, gamma: float, orders) -> np.n
     theta = c * c / (2.0 * sigma * sigma)
     if gamma == 1.0:
         return theta * a  # only the full-overlap term survives
-    l = np.arange(2, int(a.max()) + 1, dtype=float)
-    n = np.maximum(a[:, None], l)  # n = alpha wherever l <= alpha; the rest is masked
-    terms = log_comb(n, l) + l * math.log(gamma) + (n - l) * math.log(1.0 - gamma) + theta * l * (l - 1.0)
+    amax = int(a.max())
+    l = np.arange(2, amax + 1, dtype=float)
+    rest = np.maximum(a[:, None] - l, 0.0)  # alpha - l wherever l <= alpha; the rest is masked
+    log_fact = _lgamma(np.arange(amax + 1) + 1.0)  # log m! for m = 0..amax
+    log_binom = log_fact[a.astype(int)][:, None] - log_fact[2:] - log_fact[rest.astype(int)]
+    terms = log_binom + l * math.log(gamma) + rest * math.log(1.0 - gamma) + theta * l * (l - 1.0)
     terms = np.where(l <= a[:, None], terms, -np.inf)
     lead = (a - 1.0) * math.log(1.0 - gamma) + np.log1p(gamma * (a - 1.0))
-    eps = logsumexp(np.column_stack([terms, lead]), axis=1) / (a - 1.0)
+    eps = _logsumexp(np.column_stack([terms, lead]), axis=1) / (a - 1.0)
     return np.maximum(eps, 0.0)
 
 
@@ -831,22 +871,21 @@ def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
                     pair_sum += gram[digits[:, p], digits[:, q]]
             pair_sum *= 2.0  # the exponent sums over ordered pairs
             log_weight = log_w[digits].sum(axis=1)
-        chunk_logs.append(logsumexp(inv_two_var * pair_sum + log_weight))
-    return max(0.0, float(logsumexp(chunk_logs)) / (a - 1))
+        chunk_logs.append(_logsumexp(inv_two_var * pair_sum + log_weight))
+    return max(0.0, float(_logsumexp(chunk_logs)) / (a - 1))
 
 
 def _log_poly_mul(la: np.ndarray, lb: np.ndarray, trunc: int) -> np.ndarray:
-    """Multiply two polynomials given by log-coefficients, truncated."""
-    out = np.full(trunc + 1, -np.inf)
-    na, nb = len(la), len(lb)
-    for t in range(trunc + 1):
-        lo = max(0, t - (nb - 1))
-        hi = min(na - 1, t)
-        if lo > hi:
-            continue
-        i = np.arange(lo, hi + 1)
-        out[t] = logsumexp(la[i] + lb[t - i])
-    return out
+    """Multiply two polynomials given by log-coefficients, truncated.
+
+    One (degree t x index i) array of la[i] + lb[t - i], -inf where t - i
+    is not an index of lb, and one row-wise log-sum-exp.
+    """
+    la = la[: trunc + 1]
+    j = np.arange(trunc + 1)[:, None] - np.arange(len(la))[None, :]
+    inside = (j >= 0) & (j < len(lb))
+    terms = np.where(inside, la[None, :] + lb[np.clip(j, 0, len(lb) - 1)], -np.inf)
+    return _logsumexp(terms, axis=1)
 
 
 def _log_poly_pow(la: np.ndarray, power: int, trunc: int) -> np.ndarray:
@@ -882,15 +921,16 @@ def forward_exact_k1_curve(d: int, c: float, sigma: float, orders) -> np.ndarray
         raise ValueError(f"sigma must be positive, got {sigma}")
     if c < 0:
         raise ValueError(f"c must be nonnegative, got {c}")
-    a_list = [validate_order(a) for a in orders]
-    amax = max(a_list)
+    a_int = np.array([validate_order(a) for a in orders])
     theta = c * c / (2.0 * sigma * sigma)
+    if theta == 0.0:  # every tuple has weight 1: the divergence is exactly 0
+        return np.zeros(len(a_int))
+    amax = int(a_int.max())
     m = np.arange(amax + 1, dtype=float)
-    series = theta * m * (m - 1.0) - gammaln(m + 1.0)
-    powered = _log_poly_pow(series, d, amax)
-    out = np.array(
-        [(gammaln(a + 1.0) + powered[a] - a * math.log(d)) / (a - 1.0) for a in a_list]
-    )
+    log_fact = _lgamma(m + 1.0)  # log m! for m = 0..amax
+    powered = _log_poly_pow(theta * m * (m - 1.0) - log_fact, d, amax)
+    a = a_int.astype(float)
+    out = (log_fact[a_int] + powered[a_int] - a * math.log(d)) / (a - 1.0)
     return np.maximum(out, 0.0)
 
 

@@ -512,8 +512,8 @@ def report_privacy(config: SimConfig) -> PrivacyReport:
 
     Combinations whose accounting rule the toolkit does not provide (any
     split/dropout mode together with data subsampling, or a single-clip
-    run with a non-split part) come back as an explicit refusal pointing
-    at the decisions ledger, never as a silently wrong number.
+    run with a non-split part) come back as an explicit refusal that states
+    the reason, never as a silently wrong number.
     """
     if config.sigma <= 0:
         raise ValueError("privacy accounting needs sigma > 0")
@@ -522,15 +522,19 @@ def report_privacy(config: SimConfig) -> PrivacyReport:
             guarantee=None,
             refusal=(
                 f"no accounting rule for {config.mode} combined with {config.schedule} data "
-                "subsampling: the composition is unspecified (see decisions ledger)"
+                f"subsampling: each update is a mixture over both the {config.schedule} participation "
+                f"draw and the {config.mode} block choice, and no divergence bound for that nested "
+                "mixture is implemented"
             ),
         )
     if config.mode == "model_split" and config.plan.nonsplit:
         return PrivacyReport(
             guarantee=None,
             refusal=(
-                "single-clip run with a non-split part has no accounting rule; "
-                "split and non-split parts need separate clipping norms (see decisions ledger)"
+                "single-clip run with a non-split part has no accounting rule: the split part and "
+                "the non-split part are accounted at their own clipping norms, and one norm over "
+                "both leaves either part's share of it unknown; split and non-split parts need "
+                "separate clipping norms"
             ),
         )
     if config.mode == "model_split":

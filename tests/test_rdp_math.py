@@ -18,13 +18,14 @@ from amplify_acct.rdp_math import (
     forward_poisson_cap_curve,
     gaussian_rdp,
     gaussian_rdp_same_mean,
+    log_comb,
     poisson_gaussian_curve,
     reverse_bound,
     reverse_bound_curve,
     reverse_bound_paper,
     validate_order,
 )
-from amplify_acct.rdp_math import _TwoHotReverse
+from amplify_acct.rdp_math import _TwoHotReverse, _logsumexp, forward_exact_k1_curve
 
 E = math.e
 
@@ -370,6 +371,96 @@ class TestForwardExactK1:
         assert math.isfinite(value) and 0 <= value
         # Well below the unamplified Gaussian value.
         assert value < gaussian_rdp(1, 1, 100)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 1000, 10**6])
+    def test_zero_scale_is_exactly_zero(self, d):
+        assert np.all(forward_exact_k1_curve(d, 0.0, 1.0, range(2, 1001)) == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 8, 1000, 10**6])
+    @pytest.mark.parametrize("ratio", [0.125, 1.0, 2.0])
+    def test_matches_mpmath_power_series(self, d, ratio):
+        orders = (2, 10, 100)
+        coeffs = k1_power_series_mpmath(d, ratio, max(orders))
+        for alpha, value in zip(orders, forward_exact_k1_curve(d, ratio, 1.0, orders)):
+            expected = k1_epsilon_mpmath(coeffs, d, alpha)
+            # The absolute floor covers the cancellation in
+            # lgamma(alpha + 1) + log coefficient - alpha log d near 0.
+            assert abs(value - expected) <= 1e-12 * abs(expected) + 1e-14
+
+
+def k1_power_series_mpmath(d, ratio, amax, dps=50):
+    """Coefficients of f(z)^d up to z^amax, f(z) = sum_m z^m exp(theta m (m-1)) / m!.
+
+    One truncated power in 50-digit arithmetic, by J. C. P. Miller's
+    recurrence for g = f^d (f_0 = 1): n g_n = sum_k ((d + 1) k - n) f_k g_(n-k).
+    """
+    import mpmath as mp
+
+    mp.mp.dps = dps
+    theta = mp.mpf(ratio) ** 2 / 2
+    f = [mp.exp(theta * m * (m - 1)) / mp.factorial(m) for m in range(amax + 1)]
+    g = [mp.mpf(1)]
+    for n in range(1, amax + 1):
+        g.append(mp.fsum(((d + 1) * k - n) * f[k] * g[n - k] for k in range(1, n + 1)) / n)
+    return g
+
+
+def k1_epsilon_mpmath(coeffs, d, alpha):
+    import mpmath as mp
+
+    return max(0.0, float((mp.loggamma(alpha + 1) + mp.log(coeffs[alpha]) - alpha * mp.log(d)) / (alpha - 1)))
+
+
+class TestLogKernels:
+    def test_poisson_curve_of_tiny_epsilons_matches_mpmath(self):
+        # Per-iteration epsilons near 1e-6: the terms after the largest sum to
+        # ~1e-6 of it, which only the log1p form keeps to 1e-11.
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        gamma, theta = mp.mpf(0.01), mp.mpf(1) / 128
+        orders = range(2, 101)
+        for alpha, value in zip(orders, poisson_gaussian_curve(1.0, 8.0, 0.01, orders)):
+            total = mp.fsum(
+                mp.binomial(alpha, l) * (1 - gamma) ** (alpha - l) * gamma**l * mp.exp(theta * l * (l - 1))
+                for l in range(alpha + 1)
+            )
+            expected = float(mp.log(total) / (alpha - 1))
+            assert abs(value - expected) <= 1e-11 * expected
+
+    def test_logsumexp_all_minus_inf_rows(self):
+        rows = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, math.log(3.0)]])
+        out = _logsumexp(rows, axis=1)
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(math.log(4.0), rel=1e-15)
+        assert _logsumexp(np.full(5, -np.inf)) == -np.inf
+
+    def test_logsumexp_axis_none_and_given_axis(self):
+        rng = np.random.default_rng(3)
+        a = 40.0 * rng.normal(size=(6, 9))
+        total = _logsumexp(a)
+        assert np.ndim(total) == 0
+        top = a.max()
+        assert total == pytest.approx(top + math.log(math.fsum(np.exp(a - top).ravel())), rel=1e-14)
+        for axis in (0, 1):
+            expected = [
+                float(row.max() + math.log(math.fsum(np.exp(row - row.max()))))
+                for row in np.moveaxis(a, axis, -1)
+            ]
+            assert _logsumexp(a, axis=axis) == pytest.approx(expected, rel=1e-14)
+
+    def test_logsumexp_single_element(self):
+        assert _logsumexp([2.5]) == 2.5
+        assert _logsumexp(np.array([[7.25]]), axis=1).tolist() == [7.25]
+
+    def test_log_comb_matches_exact_binomials(self):
+        for n in (0, 1, 5, 100, 20000):
+            k = np.array(sorted({0, min(1, n), n // 3, n // 2, n}))
+            expected = [math.log(math.comb(n, int(j))) for j in k]
+            # A difference of log-gammas: its error scales with lgamma(n + 1).
+            assert log_comb(n, k) == pytest.approx(expected, rel=0, abs=1e-14 * math.lgamma(n + 1) + 1e-15)
+        assert log_comb(3, 5) == -np.inf  # k > n: Gamma has a pole at n - k + 1
 
 
 class TestEpsilonTightLoose:

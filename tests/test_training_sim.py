@@ -251,7 +251,7 @@ class TestReportPrivacy:
         )
         report = report_privacy(config)
         assert report.refused
-        assert "ledger" in report.refusal
+        assert "no divergence bound for that nested mixture" in report.refusal
 
     def test_nonsplit_part_refused(self):
         config = SimConfig(
@@ -259,6 +259,7 @@ class TestReportPrivacy:
         )
         report = report_privacy(config)
         assert report.refused
+        assert "separate clipping norms" in report.refusal
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
