@@ -15,12 +15,20 @@ Curve provenance per order:
 A ``PoissonGaussian`` curve is per iteration; pass the iteration count to
 ``compose`` (or the ``count`` arguments elsewhere) to account a full run.  A
 ``Bis`` curve already covers all ``T`` iterations jointly.
+
+Each mechanism is declared once, as one entry of ``MECHANISMS``: a frozen
+spec dataclass with its CLI name and a ``_curve(orders, mode)`` method.
+Labels (``mechanism_label``), ``rdp_curve`` dispatch and the CLI's flags
+and ``key=value`` parsing all derive from that entry and its fields.  The
+split mechanisms are the one-hot Gaussian-mixture family (``Bis`` is its
+k-hot version): ``MixtureSplit`` is a ``ModelSplit`` under another name and
+``DropoutSplit`` a ``ModelSplit`` with d fixed at 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -45,6 +53,7 @@ __all__ = [
     "DpGuarantee",
     "DropoutSplit",
     "Gaussian",
+    "MECHANISMS",
     "MechanismSpec",
     "MixtureSplit",
     "ModelSplit",
@@ -58,6 +67,7 @@ __all__ = [
     "mechanism_label",
     "rdp_curve",
     "scale_curve",
+    "spec_params",
     "to_delta",
     "to_dp",
 ]
@@ -82,11 +92,16 @@ def _check_clip_noise(c: float, sigma: float) -> None:
 class Gaussian:
     """One release of a sum with l2 sensitivity c plus N(0, sigma^2 I) noise."""
 
+    cli_name = "gaussian"
     c: float
     sigma: float
 
     def __post_init__(self):
         _check_clip_noise(self.c, self.sigma)
+
+    def _curve(self, orders, mode):
+        eps = np.array(orders, dtype=float) * self.c**2 / (2.0 * self.sigma**2)
+        return eps, ("exact",) * len(orders)
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,8 @@ class PoissonGaussian:
     The curve is per iteration; compose with the iteration count.
     """
 
+    cli_name = "poisson-gaussian"
+    curve_flag = "poisson"
     c: float
     sigma: float
     gamma: float
@@ -105,11 +122,15 @@ class PoissonGaussian:
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
+    def _curve(self, orders, mode):
+        return poisson_gaussian_curve(self.c, self.sigma, self.gamma, orders), ("exact",) * len(orders)
+
 
 @dataclass(frozen=True)
 class ModelSplit:
     """Each sample updates one of d disjoint parameter blocks, chosen uniformly."""
 
+    cli_name = "model-split"
     d: int
     c: float
     sigma: float
@@ -119,30 +140,22 @@ class ModelSplit:
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
 
+    def _curve(self, orders, mode):
+        return _split_family_curve(MixtureFamily(d=self.d, k=1, c=self.c, sigma=self.sigma), orders, mode)
 
-@dataclass(frozen=True)
-class MixtureSplit:
-    """Probabilistic mixture of disjoint d-way splits; same bound as ModelSplit."""
 
-    d: int
-    c: float
-    sigma: float
+class MixtureSplit(ModelSplit):
+    """Probabilistic mixture of disjoint d-way splits: a ModelSplit by another name."""
 
-    def __post_init__(self):
-        _check_clip_noise(self.c, self.sigma)
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+    cli_name = "mixture-split"
 
 
 @dataclass(frozen=True)
-class DropoutSplit:
-    """Rate-0.5 dropout on hidden units; accounted as a 2-way model split."""
+class DropoutSplit(ModelSplit):
+    """Rate-0.5 dropout on hidden units: a ModelSplit with d fixed at 2."""
 
-    c: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_clip_noise(self.c, self.sigma)
+    cli_name = "dropout-split"
+    d: int = field(default=2, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -153,9 +166,10 @@ class PartialSplit:
     add (sequential-composition property).
     """
 
+    cli_name = "partial-split"
+    d: int
     c_split: float
     c_nonsplit: float
-    d: int
     sigma: float
 
     def __post_init__(self):
@@ -165,6 +179,11 @@ class PartialSplit:
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
 
+    def _curve(self, orders, mode):
+        split, prov = ModelSplit(d=self.d, c=self.c_split, sigma=self.sigma)._curve(orders, mode)
+        nonsplit, _ = Gaussian(c=self.c_nonsplit, sigma=self.sigma)._curve(orders, mode)
+        return split + nonsplit, prov
+
 
 @dataclass(frozen=True)
 class Bis:
@@ -173,6 +192,7 @@ class Bis:
     The curve covers the whole T-iteration run jointly.
     """
 
+    cli_name = "bis"
     T: int
     k: int
     c: float
@@ -185,30 +205,44 @@ class Bis:
         if not 1 <= self.k <= self.T:
             raise ValueError(f"k must satisfy 1 <= k <= T, got k={self.k}, T={self.T}")
 
+    def _curve(self, orders, mode):
+        return _split_family_curve(MixtureFamily(d=self.T, k=self.k, c=self.c, sigma=self.sigma), orders, mode)
+
 
 MechanismSpec = Union[Gaussian, PoissonGaussian, ModelSplit, MixtureSplit, DropoutSplit, PartialSplit, Bis]
 
+# Every mechanism, in CLI order.  Each class carries its CLI name
+# (``cli_name``; ``curve_flag`` where the ``curve`` command's flag differs)
+# and ``_curve(orders, mode) -> (epsilons, provenance)``.
+MECHANISMS = (Gaussian, PoissonGaussian, ModelSplit, MixtureSplit, DropoutSplit, PartialSplit, Bis)
+
+
+def spec_params(cls) -> dict:
+    """Constructor parameters of a spec (or family) dataclass: name -> int or float."""
+    return {f.name: int if f.type in (int, "int") else float for f in fields(cls) if f.init}
+
 
 def mechanism_label(spec: MechanismSpec) -> str:
-    """Canonical short label used for CSV rows and log lines."""
-    if isinstance(spec, Gaussian):
-        return f"gaussian(c={spec.c:g},sigma={spec.sigma:g})"
-    if isinstance(spec, PoissonGaussian):
-        return f"poisson-gaussian(c={spec.c:g},sigma={spec.sigma:g},gamma={spec.gamma:g})"
-    if isinstance(spec, ModelSplit):
-        return f"model-split(d={spec.d},c={spec.c:g},sigma={spec.sigma:g})"
-    if isinstance(spec, MixtureSplit):
-        return f"mixture-split(d={spec.d},c={spec.c:g},sigma={spec.sigma:g})"
-    if isinstance(spec, DropoutSplit):
-        return f"dropout-split(c={spec.c:g},sigma={spec.sigma:g})"
-    if isinstance(spec, PartialSplit):
-        return (
-            f"partial-split(d={spec.d},c_split={spec.c_split:g},"
-            f"c_nonsplit={spec.c_nonsplit:g},sigma={spec.sigma:g})"
-        )
-    if isinstance(spec, Bis):
-        return f"bis(T={spec.T},k={spec.k},c={spec.c:g},sigma={spec.sigma:g})"
-    raise TypeError(f"unknown mechanism spec {spec!r}")
+    """Canonical short label used for CSV rows and log lines.
+
+    ``cli_name(field=value,...)`` over the constructor parameters in
+    declaration order; ints print with ``{}`` and floats with ``{:g}``.
+    """
+    params = spec_params(type(spec)).items()
+    body = ",".join(f"{name}={format(getattr(spec, name), '' if kind is int else 'g')}" for name, kind in params)
+    return f"{spec.cli_name}({body})"
+
+
+def _split_family_curve(family: MixtureFamily, orders, mode: str):
+    if mode == "loose":
+        eps = epsilon_loose_curve(family, orders)
+        return eps, ["loose"] * len(eps)
+    if family.k == 1:
+        rev = reverse_bound_curve(family, orders)
+        fwd = forward_exact_k1_curve(family.d, family.c, family.sigma, orders)
+        return np.maximum(fwd, rev), ["tight"] * len(rev)
+    eps, rules = epsilon_tight_curve(family, orders)
+    return eps, ["loose" if rule == "bound" else "tight" for rule in rules]
 
 
 @dataclass(frozen=True)
@@ -261,22 +295,8 @@ class CompositionPlan:
                 raise ValueError(f"counts must be >= 1, got {count}")
 
 
-def _split_family_curve(family: MixtureFamily, orders, mode: str):
-    if mode == "loose":
-        eps = epsilon_loose_curve(family, orders)
-        return eps, ["loose"] * len(eps)
-    if mode != "tight":
-        raise ValueError(f"mode must be 'tight' or 'loose', got {mode!r}")
-    if family.k == 1:
-        rev = reverse_bound_curve(family, orders)
-        fwd = forward_exact_k1_curve(family.d, family.c, family.sigma, orders)
-        return np.maximum(fwd, rev), ["tight"] * len(rev)
-    eps, rules = epsilon_tight_curve(family, orders)
-    return eps, ["loose" if rule == "bound" else "tight" for rule in rules]
-
-
 def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -> RdpCurve:
-    """Per-order epsilon curve for one mechanism.
+    """Per-order epsilon curve for one mechanism (the spec's ``_curve``).
 
     ``mode`` selects the forward path for split/subsampling mechanisms;
     closed-form mechanisms ignore it.  Cost-guard degradations appear in the
@@ -285,29 +305,8 @@ def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -
     orders = tuple(validate_order(a) for a in orders)
     if mode not in ("tight", "loose"):
         raise ValueError(f"mode must be 'tight' or 'loose', got {mode!r}")
-    if isinstance(spec, Gaussian):
-        a = np.array(orders, dtype=float)
-        eps = a * spec.c**2 / (2.0 * spec.sigma**2)
-        return RdpCurve(orders, eps, ("exact",) * len(orders))
-    if isinstance(spec, PoissonGaussian):
-        eps = poisson_gaussian_curve(spec.c, spec.sigma, spec.gamma, orders)
-        return RdpCurve(orders, eps, ("exact",) * len(orders))
-    if isinstance(spec, (ModelSplit, MixtureSplit)):
-        family = MixtureFamily(d=spec.d, k=1, c=spec.c, sigma=spec.sigma)
-        eps, prov = _split_family_curve(family, orders, mode)
-        return RdpCurve(orders, eps, tuple(prov))
-    if isinstance(spec, DropoutSplit):
-        return rdp_curve(ModelSplit(d=2, c=spec.c, sigma=spec.sigma), orders, mode)
-    if isinstance(spec, PartialSplit):
-        split = rdp_curve(ModelSplit(d=spec.d, c=spec.c_split, sigma=spec.sigma), orders, mode)
-        a = np.array(orders, dtype=float)
-        nonsplit_eps = a * spec.c_nonsplit**2 / (2.0 * spec.sigma**2)
-        return RdpCurve(orders, split.epsilons + nonsplit_eps, split.provenance)
-    if isinstance(spec, Bis):
-        family = MixtureFamily(d=spec.T, k=spec.k, c=spec.c, sigma=spec.sigma)
-        eps, prov = _split_family_curve(family, orders, mode)
-        return RdpCurve(orders, eps, tuple(prov))
-    raise TypeError(f"unknown mechanism spec {spec!r}")
+    eps, prov = spec._curve(orders, mode)
+    return RdpCurve(orders, eps, tuple(prov))
 
 
 def _merge_provenance(tags) -> str:

@@ -10,6 +10,16 @@ Subcommands:
                    dimension reduction, order-2 tightness.
 * ``simulate``  -- run the training simulator and report diagnostics.
 
+Mechanisms come from ``accountant.MECHANISMS``: ``--mech`` takes each
+entry's CLI name and reads its fields from the flags of the same name
+(``--c-split`` for ``c_split``); ``curve`` has one repeatable flag per
+entry (``--poisson`` for ``poisson-gaussian``) taking ``key=value`` pairs
+named after the fields plus ``count``, with ``c`` and ``sigma`` defaulting
+to ``--c`` and ``--sigma``.  A missing, repeated or unknown key exits 2.
+A new table entry appears here with no code change (a new field name
+also needs its flag in ``_add_mech_flags``).  The only special case is
+``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.
+
 A JSON config file (``--config``) holds one object per command name;
 explicit flags override config values, unknown config keys are errors.
 Every output embeds the fully resolved configuration and the tool
@@ -57,18 +67,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .accountant import (
-    Bis,
+    MECHANISMS,
     CalibrationBracketError,
-    DropoutSplit,
-    Gaussian,
-    MixtureSplit,
-    ModelSplit,
-    PartialSplit,
     PoissonGaussian,
     calibrate_sigma,
     mechanism_label,
     rdp_curve,
     scale_curve,
+    spec_params,
     to_dp,
 )
 from .oracles import (
@@ -93,15 +99,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 
-_MECH_CHOICES = (
-    "gaussian",
-    "poisson-gaussian",
-    "model-split",
-    "mixture-split",
-    "dropout-split",
-    "partial-split",
-    "bis",
-)
+_MECHS = {cls.cli_name: cls for cls in MECHANISMS}
+_CURVE_FLAGS = {cls: getattr(cls, "curve_flag", cls.cli_name) for cls in MECHANISMS}
 
 
 class CliError(Exception):
@@ -131,41 +130,20 @@ def _build_mechanism(args) -> object:
     split or balanced-subsampling mechanism has no accounting rule and is
     refused.
     """
-    mech = args.mech
-    rate = getattr(args, "poisson", None)
+    mech, rate = args.mech, args.poisson
     if rate is not None and mech != "gaussian":
         raise CliError(
             f"--poisson data subsampling combined with {mech} is not accountable: each iteration "
             f"would release a mixture over both the subsampling draw and the {mech} randomness, "
             "and no divergence bound for that nested mixture is implemented; refusing"
         )
-    if mech == "gaussian":
-        if rate is not None:
-            return PoissonGaussian(c=args.c, sigma=args.sigma, gamma=rate)
-        return Gaussian(c=args.c, sigma=args.sigma)
-    if mech == "poisson-gaussian":
-        if args.gamma is None:
-            raise CliError("poisson-gaussian needs --gamma")
-        return PoissonGaussian(c=args.c, sigma=args.sigma, gamma=args.gamma)
-    if mech == "model-split":
-        if args.d is None:
-            raise CliError("model-split needs --d")
-        return ModelSplit(d=args.d, c=args.c, sigma=args.sigma)
-    if mech == "mixture-split":
-        if args.d is None:
-            raise CliError("mixture-split needs --d")
-        return MixtureSplit(d=args.d, c=args.c, sigma=args.sigma)
-    if mech == "dropout-split":
-        return DropoutSplit(c=args.c, sigma=args.sigma)
-    if mech == "partial-split":
-        if args.d is None or args.c_split is None or args.c_nonsplit is None:
-            raise CliError("partial-split needs --d, --c-split and --c-nonsplit")
-        return PartialSplit(c_split=args.c_split, c_nonsplit=args.c_nonsplit, d=args.d, sigma=args.sigma)
-    if mech == "bis":
-        if args.T is None or args.k is None:
-            raise CliError("bis needs --T and --k")
-        return Bis(T=args.T, k=args.k, c=args.c, sigma=args.sigma)
-    raise CliError(f"unknown mechanism {mech!r}")
+    if rate is not None:
+        return PoissonGaussian(c=args.c, sigma=args.sigma, gamma=rate)
+    cls = _MECHS[mech]
+    missing = ["--" + name.replace("_", "-") for name in spec_params(cls) if getattr(args, name) is None]
+    if missing:
+        raise CliError(f"{mech} needs {', '.join(missing)}")
+    return cls(**{name: getattr(args, name) for name in spec_params(cls)})
 
 
 def _parse_kv(text: str, flag: str) -> dict:
@@ -175,68 +153,32 @@ def _parse_kv(text: str, flag: str) -> dict:
     for item in text.split(","):
         if "=" not in item:
             raise CliError(f"{flag}: expected key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in out:
+            raise CliError(f"{flag}: key {key!r} repeated in {text!r}")
+        out[key] = value
     return out
 
 
-def _kv_float(kv, key, default=None):
-    if key in kv:
-        return float(kv.pop(key))
-    return default
-
-
-def _kv_int(kv, key, default=None):
-    if key in kv:
-        return int(kv.pop(key))
-    return default
+def _kv_spec(cls, text: str, flag: str, defaults: dict):
+    """(cls instance, unused keys) from a key=value list; defaults fill absent fields."""
+    kv = _parse_kv(text, flag)
+    params = spec_params(cls)
+    missing = [name for name in params if name not in kv and name not in defaults]
+    if missing:
+        raise CliError(f"{flag}: {text!r} needs key(s) {', '.join(missing)}")
+    spec = cls(**{name: kind(kv.pop(name)) if name in kv else defaults[name] for name, kind in params.items()})
+    return spec, kv
 
 
 def _curve_mechanisms(args):
     """(spec, count) pairs from the repeatable curve flags."""
+    shared = {"c": args.c, "sigma": args.sigma}
     pairs = []
-    for text in args.gaussian or []:
-        kv = _parse_kv(text, "--gaussian")
-        spec = Gaussian(c=_kv_float(kv, "c", args.c), sigma=_kv_float(kv, "sigma", args.sigma))
-        pairs.append((spec, _kv_int(kv, "count", 1), kv))
-    for text in args.poisson or []:
-        kv = _parse_kv(text, "--poisson")
-        spec = PoissonGaussian(
-            c=_kv_float(kv, "c", args.c),
-            sigma=_kv_float(kv, "sigma", args.sigma),
-            gamma=_kv_float(kv, "gamma"),
-        )
-        pairs.append((spec, _kv_int(kv, "count", 1), kv))
-    for text in args.model_split or []:
-        kv = _parse_kv(text, "--model-split")
-        spec = ModelSplit(d=_kv_int(kv, "d"), c=_kv_float(kv, "c", args.c), sigma=_kv_float(kv, "sigma", args.sigma))
-        pairs.append((spec, _kv_int(kv, "count", 1), kv))
-    for text in args.mixture_split or []:
-        kv = _parse_kv(text, "--mixture-split")
-        spec = MixtureSplit(d=_kv_int(kv, "d"), c=_kv_float(kv, "c", args.c), sigma=_kv_float(kv, "sigma", args.sigma))
-        pairs.append((spec, _kv_int(kv, "count", 1), kv))
-    for text in args.dropout_split or []:
-        kv = _parse_kv(text, "--dropout-split")
-        spec = DropoutSplit(c=_kv_float(kv, "c", args.c), sigma=_kv_float(kv, "sigma", args.sigma))
-        pairs.append((spec, _kv_int(kv, "count", 1), kv))
-    for text in args.partial_split or []:
-        kv = _parse_kv(text, "--partial-split")
-        spec = PartialSplit(
-            c_split=_kv_float(kv, "c_split"),
-            c_nonsplit=_kv_float(kv, "c_nonsplit"),
-            d=_kv_int(kv, "d"),
-            sigma=_kv_float(kv, "sigma", args.sigma),
-        )
-        pairs.append((spec, _kv_int(kv, "count", 1), kv))
-    for text in args.bis or []:
-        kv = _parse_kv(text, "--bis")
-        spec = Bis(
-            T=_kv_int(kv, "T"),
-            k=_kv_int(kv, "k"),
-            c=_kv_float(kv, "c", args.c),
-            sigma=_kv_float(kv, "sigma", args.sigma),
-        )
-        pairs.append((spec, _kv_int(kv, "count", 1), kv))
+    for cls, flag in _CURVE_FLAGS.items():
+        for text in getattr(args, flag.replace("-", "_")) or []:
+            spec, kv = _kv_spec(cls, text, f"--{flag}", shared)
+            pairs.append((spec, int(kv.pop("count", 1)), kv))
     cleaned = []
     for spec, count, leftover in pairs:
         if leftover:
@@ -362,13 +304,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _family_from_kv(text: str) -> MixtureFamily:
-    kv = _parse_kv(text, "--family")
-    family = MixtureFamily(
-        d=_kv_int(kv, "d"),
-        k=_kv_int(kv, "k", 1),
-        c=_kv_float(kv, "c", 1.0),
-        sigma=_kv_float(kv, "sigma", 1.0),
-    )
+    family, kv = _kv_spec(MixtureFamily, text, "--family", {"k": 1, "c": 1.0, "sigma": 1.0})
     if kv:
         raise CliError(f"unknown family parameter(s) {sorted(kv)}")
     return family
@@ -498,52 +434,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    mode = args.mode.replace("-", "_")
     try:
-        if args.mode == "model-split":
+        plan = None
+        if mode == "model_split":
             if args.d is None:
                 raise CliError("model-split mode needs --d")
-            task = make_linear_task(args.n, args.m, args.task_seed)
             plan = even_split_plan(args.m, args.d, args.nonsplit)
-            config = SimConfig(
-                T=args.T,
-                c=args.c,
-                sigma=args.sigma,
-                mode="model_split",
-                plan=plan,
-                schedule=args.schedule,
-                k=args.k,
-                gamma=args.gamma,
-                seed=args.seed,
-                learning_rate=args.lr,
-                delta=args.delta,
-            )
-        elif args.mode == "dropout":
-            config = SimConfig(
-                T=args.T,
-                c=args.c,
-                sigma=args.sigma,
-                mode="dropout",
-                dropout_rate=args.rate,
-                schedule=args.schedule,
-                k=args.k,
-                gamma=args.gamma,
-                seed=args.seed,
-                learning_rate=args.lr,
-                delta=args.delta,
-            )
-        else:
-            config = SimConfig(
-                T=args.T,
-                c=args.c,
-                sigma=args.sigma,
-                mode="plain",
-                schedule=args.schedule,
-                k=args.k,
-                gamma=args.gamma,
-                seed=args.seed,
-                learning_rate=args.lr,
-                delta=args.delta,
-            )
+        config = SimConfig(
+            T=args.T,
+            c=args.c,
+            sigma=args.sigma,
+            mode=mode,
+            plan=plan,
+            dropout_rate=args.rate,
+            schedule=args.schedule,
+            k=args.k,
+            gamma=args.gamma,
+            seed=args.seed,
+            learning_rate=args.lr,
+            delta=args.delta,
+        )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -552,13 +463,10 @@ def cmd_simulate(args) -> int:
         if privacy.refused:
             raise CliError(f"refusing to simulate an unaccountable configuration: {privacy.refusal}")
 
-    if config.mode == "dropout":
-        task = make_hidden_task(args.n, args.m, args.hidden, args.task_seed)
-        trace = run_dropout_training(task, config)
+    if mode == "dropout":
+        trace = run_dropout_training(make_hidden_task(args.n, args.m, args.hidden, args.task_seed), config)
     else:
-        if config.mode == "plain":
-            task = make_linear_task(args.n, args.m, args.task_seed)
-        trace = run_model_split_training(task, config)
+        trace = run_model_split_training(make_linear_task(args.n, args.m, args.task_seed), config)
 
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -585,7 +493,7 @@ def cmd_simulate(args) -> int:
 
 
 def _add_mech_flags(parser) -> None:
-    parser.add_argument("--mech", required=True, choices=_MECH_CHOICES)
+    parser.add_argument("--mech", required=True, choices=tuple(_MECHS))
     parser.add_argument("--c", type=float, default=1.0, help="clipping norm (default 1)")
     parser.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
     parser.add_argument("--gamma", type=float, default=None, help="poisson-gaussian sampling rate")
@@ -612,13 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eps.set_defaults(func=cmd_epsilon)
 
     p_curve = sub.add_parser("curve", help="per-order epsilon table for mechanisms")
-    p_curve.add_argument("--gaussian", action="append", metavar="KV")
-    p_curve.add_argument("--poisson", action="append", metavar="KV", help="gamma=...,count=...")
-    p_curve.add_argument("--model-split", dest="model_split", action="append", metavar="KV")
-    p_curve.add_argument("--mixture-split", dest="mixture_split", action="append", metavar="KV")
-    p_curve.add_argument("--dropout-split", dest="dropout_split", action="append", metavar="KV")
-    p_curve.add_argument("--partial-split", dest="partial_split", action="append", metavar="KV")
-    p_curve.add_argument("--bis", action="append", metavar="KV", help="T=...,k=...")
+    for cls, flag in _CURVE_FLAGS.items():
+        keys = ",".join(f"{name}=..." for name in spec_params(cls))
+        p_curve.add_argument(f"--{flag}", action="append", metavar="KV", help=f"{keys},count=... (repeatable)")
     p_curve.add_argument("--c", type=float, default=1.0)
     p_curve.add_argument("--sigma", type=float, default=1.0)
     p_curve.add_argument("--mode", choices=("tight", "loose"), default="tight")

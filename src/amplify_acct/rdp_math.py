@@ -968,12 +968,13 @@ class TightEpsilon:
         return self.forward_rule != "bound"
 
 
-def _enum_feasible(d: int, k: int, alpha: int) -> bool:
+def _enum_rules(d: int, k: int, orders) -> tuple:
+    """Per order, "enum" when C(d,k)^alpha <= ENUM_TUPLE_LIMIT, else "bound"."""
     # Log-space estimate first: avoids huge exact binomials for large d.
-    approx = alpha * float(log_comb(d, k))
-    if approx > math.log(ENUM_TUPLE_LIMIT) + 1e-9:
-        return False
-    return math.comb(d, k) ** alpha <= ENUM_TUPLE_LIMIT
+    log_n = float(log_comb(d, k))
+    fits = [a * log_n <= math.log(ENUM_TUPLE_LIMIT) + 1e-9 for a in orders]
+    n = math.comb(d, k) if any(fits) else 0
+    return tuple("enum" if ok and n**a <= ENUM_TUPLE_LIMIT else "bound" for a, ok in zip(orders, fits))
 
 
 def epsilon_tight_curve(family: MixtureFamily, orders):
@@ -990,7 +991,7 @@ def epsilon_tight_curve(family: MixtureFamily, orders):
     if family.k == 1:
         fwd = forward_exact_k1_curve(family.d, family.c, family.sigma, a_list)
         return np.maximum(fwd, rev), ("k1-series",) * len(a_list)
-    rules = tuple("enum" if _enum_feasible(family.d, family.k, a) else "bound" for a in a_list)
+    rules = _enum_rules(family.d, family.k, a_list)
     fwd = np.empty(len(a_list))
     degraded = [i for i, rule in enumerate(rules) if rule == "bound"]
     if degraded:

@@ -7,7 +7,9 @@ framework.  Runs record, per iteration, the diagnostics the accounting
 assumptions rest on: per-sample post-clip norms, gradient support outside
 the assigned submodel, gradients incident to dropped units, and
 participation counts.  Violation counts must be exactly zero on a correct
-run.
+run.  One loop (``_train``) serves every mode; a per-mode step hook (plain,
+model split, dropout) supplies the masked per-sample gradients and their
+diagnostics.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, label, iteration) for per-iteration draws (noise) and
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -374,23 +377,61 @@ def _iteration_plan(config: SimConfig, t: int) -> SplitPlan:
     return SplitPlan(tuple(blocks), plan.nonsplit, per_iteration=True)
 
 
-def run_model_split_training(task: SyntheticTask, config: SimConfig) -> SimTrace:
-    """Clipped-gradient training where each sample updates one random submodel.
+def _plain_step(task, config, w, t):
+    """Unmasked per-sample gradients."""
+    grads = task.per_sample_gradients(w)
+    return (lambda i: grads[i].copy()), {}
 
-    Per sample and iteration: draw a uniform block, zero the gradient
-    outside block + nonsplit, clip to c, sum over participants, add
-    N(0, sigma^2 I) once, and step.  With d=1, sigma=0 and an empty
-    non-split set the trajectory is bit-identical to plain clipped
-    gradient descent under the same seed.  Also runs mode="plain" (no
-    masking).
+
+def _split_step(task, config, w, t):
+    """Per-sample gradients masked to one uniformly drawn block plus the non-split set."""
+    grads = task.per_sample_gradients(w)
+    plan = _iteration_plan(config, t)
+    allowed_mask = np.zeros((plan.d, task.param_dim), dtype=bool)
+    for b, block in enumerate(plan.blocks):
+        allowed_mask[b, list(block)] = True
+        allowed_mask[b, list(plan.nonsplit)] = True
+    diag = {"assignment_counts": [0] * plan.d, "support_violations": 0}
+
+    def gradient(i):
+        g = grads[i].copy()
+        b = int(stream(config.seed, "assign", t, i).integers(plan.d))
+        diag["assignment_counts"][b] += 1
+        g[~allowed_mask[b]] = 0.0
+        diag["support_violations"] += int(np.count_nonzero(g[~allowed_mask[b]]))
+        return g
+
+    return gradient, diag
+
+
+def _dropout_step(task, config, w, t, forced_mask=None):
+    """Per-sample gradients under a rate-0.5 mask on the hidden units."""
+    h = task.hidden_dim
+    diag = {"zeroing_violations": 0, "mask_ones": 0, "mask_draws": 0}
+
+    def gradient(i):
+        if forced_mask is not None:
+            mask = np.asarray(forced_mask, dtype=float)
+        else:
+            mask = stream(config.seed, "mask", t, i).integers(0, 2, size=h).astype(float)
+        diag["mask_ones"] += int(mask.sum())
+        diag["mask_draws"] += h
+        g = task.per_sample_gradient(w, i, mask)
+        for unit in np.flatnonzero(mask == 0.0):
+            diag["zeroing_violations"] += int(np.count_nonzero(g[task.incident_indices(unit)]))
+        return g
+
+    return gradient, diag
+
+
+def _train(task, config: SimConfig, step) -> SimTrace:
+    """The clipped, noised gradient-descent loop shared by every mode.
+
+    ``step(task, config, w, t)`` returns the iteration's per-sample gradient
+    function and a dict of the record fields that function fills in as it
+    is called (masking diagnostics).  The loop owns participation, clipping,
+    the noise draw, the update and the record.
     """
-    if config.mode == "dropout":
-        raise ValueError("use run_dropout_training for dropout mode")
-    if config.mode == "model_split":
-        plan_indices = {i for b in config.plan.blocks for i in b} | set(config.plan.nonsplit)
-        if not plan_indices.issubset(range(task.param_dim)):
-            raise ValueError("split plan indexes parameters outside the task")
-
     n, m = task.n_samples, task.param_dim
     bis_matrix = assign_bis_schedule(n, config.T, config.k, config.seed) if config.schedule == "bis" else None
 
@@ -400,87 +441,12 @@ def run_model_split_training(task: SyntheticTask, config: SimConfig) -> SimTrace
         trace.bis_row_sums = [int(s) for s in bis_matrix.sum(axis=1)]
     for t in range(config.T):
         participants = _participants(config, n, t, bis_matrix)
-        grads = task.per_sample_gradients(w)
+        gradient, diag = step(task, config, w, t)
         grad_sum = np.zeros(m)
         max_norm = 0.0
         norm_total = 0.0
-        support_violations = 0
-        assignment_counts = None
-        if config.mode == "model_split":
-            plan = _iteration_plan(config, t)
-            allowed_mask = np.zeros((plan.d, m), dtype=bool)
-            for b, block in enumerate(plan.blocks):
-                allowed_mask[b, list(block)] = True
-                allowed_mask[b, list(plan.nonsplit)] = True
-            assignment_counts = [0] * plan.d
         for i in participants:
-            g = grads[i].copy()
-            if config.mode == "model_split":
-                b = int(stream(config.seed, "assign", t, i).integers(plan.d))
-                assignment_counts[b] += 1
-                g[~allowed_mask[b]] = 0.0
-                support_violations += int(np.count_nonzero(g[~allowed_mask[b]]))
-            norm = _clip_in_place(g, config.c)
-            max_norm = max(max_norm, norm)
-            norm_total += norm
-            grad_sum += g
-        noise = config.sigma * stream(config.seed, "noise", t).standard_normal(m)
-        w = w - config.learning_rate * (grad_sum + noise)
-        trace.records.append(
-            {
-                "iteration": t,
-                "participants": int(len(participants)),
-                "assignment_counts": assignment_counts,
-                "max_clipped_norm": max_norm,
-                "mean_clipped_norm": norm_total / max(len(participants), 1),
-                "noise_norm": float(np.linalg.norm(noise)),
-                "loss": task.loss(w),
-                "support_violations": support_violations,
-                "zeroing_violations": 0,
-                "mask_ones": None,
-                "mask_draws": None,
-            }
-        )
-    trace.final_params = w
-    trace.privacy = report_privacy(config) if config.sigma > 0 else None
-    return trace
-
-
-def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=None) -> SimTrace:
-    """Clipped-gradient training with per-sample rate-0.5 dropout masks.
-
-    For every sample and every dropped hidden unit, the gradients of all
-    incoming and outgoing weights of that unit must be exactly zero; the
-    run counts violations (zero on a correct run).  ``forced_mask``
-    replaces the random mask everywhere (for structural tests).
-    """
-    if config.mode != "dropout":
-        raise ValueError("config.mode must be 'dropout'")
-    n, m, h = task.n_samples, task.param_dim, task.hidden_dim
-    bis_matrix = assign_bis_schedule(n, config.T, config.k, config.seed) if config.schedule == "bis" else None
-
-    w = np.zeros(m)
-    trace = SimTrace(config=config)
-    if bis_matrix is not None:
-        trace.bis_row_sums = [int(s) for s in bis_matrix.sum(axis=1)]
-    for t in range(config.T):
-        participants = _participants(config, n, t, bis_matrix)
-        grad_sum = np.zeros(m)
-        max_norm = 0.0
-        norm_total = 0.0
-        zeroing_violations = 0
-        mask_ones = 0
-        mask_draws = 0
-        for i in participants:
-            if forced_mask is not None:
-                mask = np.asarray(forced_mask, dtype=float)
-            else:
-                mask = stream(config.seed, "mask", t, i).integers(0, 2, size=h).astype(float)
-            mask_ones += int(mask.sum())
-            mask_draws += h
-            g = task.per_sample_gradient(w, i, mask)
-            for unit in np.flatnonzero(mask == 0.0):
-                zeroing_violations += int(np.count_nonzero(g[task.incident_indices(unit)]))
+            g = gradient(i)
             norm = _clip_in_place(g, config.c)
             max_norm = max(max_norm, norm)
             norm_total += norm
@@ -497,14 +463,48 @@ def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=N
                 "noise_norm": float(np.linalg.norm(noise)),
                 "loss": task.loss(w),
                 "support_violations": 0,
-                "zeroing_violations": zeroing_violations,
-                "mask_ones": mask_ones,
-                "mask_draws": mask_draws,
+                "zeroing_violations": 0,
+                "mask_ones": None,
+                "mask_draws": None,
+                **diag,
             }
         )
     trace.final_params = w
     trace.privacy = report_privacy(config) if config.sigma > 0 else None
     return trace
+
+
+def run_model_split_training(task: SyntheticTask, config: SimConfig) -> SimTrace:
+    """Clipped-gradient training where each sample updates one random submodel.
+
+    Per sample and iteration: draw a uniform block, zero the gradient
+    outside block + nonsplit, clip to c, sum over participants, add
+    N(0, sigma^2 I) once, and step.  With d=1, sigma=0 and an empty
+    non-split set the trajectory is bit-identical to plain clipped
+    gradient descent under the same seed.  Also runs mode="plain" (no
+    masking).
+    """
+    if config.mode == "dropout":
+        raise ValueError("use run_dropout_training for dropout mode")
+    if config.mode == "plain":
+        return _train(task, config, _plain_step)
+    plan_indices = {i for b in config.plan.blocks for i in b} | set(config.plan.nonsplit)
+    if not plan_indices.issubset(range(task.param_dim)):
+        raise ValueError("split plan indexes parameters outside the task")
+    return _train(task, config, _split_step)
+
+
+def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=None) -> SimTrace:
+    """Clipped-gradient training with per-sample rate-0.5 dropout masks.
+
+    For every sample and every dropped hidden unit, the gradients of all
+    incoming and outgoing weights of that unit must be exactly zero; the
+    run counts violations (zero on a correct run).  ``forced_mask``
+    replaces the random mask everywhere (for structural tests).
+    """
+    if config.mode != "dropout":
+        raise ValueError("config.mode must be 'dropout'")
+    return _train(task, config, partial(_dropout_step, forced_mask=forced_mask))
 
 
 def report_privacy(config: SimConfig) -> PrivacyReport:

@@ -278,3 +278,7 @@ class TestLabels:
         assert mechanism_label(PartialSplit(c_split=1, c_nonsplit=0.5, d=3, sigma=2)) == (
             "partial-split(d=3,c_split=1,c_nonsplit=0.5,sigma=2)"
         )
+        assert mechanism_label(PoissonGaussian(c=1, sigma=2, gamma=0.05)) == "poisson-gaussian(c=1,sigma=2,gamma=0.05)"
+        assert mechanism_label(ModelSplit(d=10**6, c=0.5, sigma=2)) == "model-split(d=1000000,c=0.5,sigma=2)"
+        assert mechanism_label(MixtureSplit(d=5, c=1, sigma=1.25)) == "mixture-split(d=5,c=1,sigma=1.25)"
+        assert mechanism_label(DropoutSplit(c=1, sigma=3)) == "dropout-split(c=1,sigma=3)"

@@ -123,6 +123,23 @@ class TestCurve:
         assert code == EXIT_CONFIG
         assert "unknown mechanism parameter" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["curve", "--poisson", "count=3"], "gamma"),
+            (["curve", "--bis", "T=10"], "k"),
+            (["curve", "--model-split", "c=1"], "d"),
+            (["curve", "--partial-split", "d=3"], "c_split, c_nonsplit"),
+            (["verify", "--family", "k=1", "--checks", "alpha2"], "needs key(s) d"),
+            (["curve", "--bis", "T=10,T=20,k=4"], "key 'T' repeated"),
+        ],
+    )
+    def test_malformed_key_value_exits_2(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert key in err
+        assert out == ""
+
     def test_no_mechanism_rejected(self, capsys):
         code, _, err = run(capsys, "curve")
         assert code == EXIT_CONFIG
