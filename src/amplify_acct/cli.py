@@ -27,10 +27,6 @@ version, outputs are byte-identical for identical (flags, config, seed),
 and numbers print with 12 significant digits.  Exit codes: 0 success,
 1 verification failure, 2 configuration error or refusal.
 
-``AMPLIFY_ACCT_THREADS`` (default 1) bounds the worker threads used to
-fan out independent curve computations; results merge in sorted order
-either way.
-
 Output schemas
 --------------
 
@@ -63,7 +59,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .accountant import (
@@ -79,7 +74,7 @@ from .accountant import (
 )
 from .oracles import (
     McSpec,
-    QuadratureSpec,
+    grid_spec,
     verify_dim_reduction,
     verify_offset_identity,
     verify_sandwich,
@@ -105,17 +100,6 @@ _CURVE_FLAGS = {cls: getattr(cls, "curve_flag", cls.cli_name) for cls in MECHANI
 
 class CliError(Exception):
     """Configuration or refusal error; maps to exit code 2."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("AMPLIFY_ACCT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise CliError(f"AMPLIFY_ACCT_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise CliError(f"AMPLIFY_ACCT_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _fmt(x: float) -> str:
@@ -178,17 +162,15 @@ def _curve_mechanisms(args):
     for cls, flag in _CURVE_FLAGS.items():
         for text in getattr(args, flag.replace("-", "_")) or []:
             spec, kv = _kv_spec(cls, text, f"--{flag}", shared)
-            pairs.append((spec, int(kv.pop("count", 1)), kv))
-    cleaned = []
-    for spec, count, leftover in pairs:
-        if leftover:
-            raise CliError(f"unknown mechanism parameter(s) {sorted(leftover)} for {mechanism_label(spec)}")
-        if count < 1:
-            raise CliError(f"count must be >= 1, got {count}")
-        cleaned.append((spec, count))
-    if not cleaned:
+            count = int(kv.pop("count", 1))
+            if kv:
+                raise CliError(f"unknown mechanism parameter(s) {sorted(kv)} for {mechanism_label(spec)}")
+            if count < 1:
+                raise CliError(f"count must be >= 1, got {count}")
+            pairs.append((spec, count))
+    if not pairs:
         raise CliError("curve needs at least one mechanism flag")
-    return cleaned
+    return pairs
 
 
 # Output locations do not determine the computed numbers, so they stay out
@@ -236,22 +218,10 @@ def _write_lines(path, lines) -> None:
 
 
 def cmd_curve(args) -> int:
-    pairs = _curve_mechanisms(args)
     orders = _orders(args)
-
-    def one(pair):
-        spec, count = pair
-        return scale_curve(rdp_curve(spec, orders, args.mode), count)
-
-    threads = _threads()
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(one, pairs))
-    else:
-        curves = [one(pair) for pair in pairs]
-
     rows = []
-    for (spec, count), curve in zip(pairs, curves):
+    for spec, count in _curve_mechanisms(args):
+        curve = scale_curve(rdp_curve(spec, orders, args.mode), count)
         label = mechanism_label(spec) + (f"x{count}" if count > 1 else "")
         for alpha, eps, prov in zip(curve.orders, curve.epsilons, curve.provenance):
             rows.append((label, alpha, eps, prov))
@@ -321,107 +291,53 @@ def _default_verify_grid():
     return families
 
 
-def _sandwich_quad_spec(d: int) -> QuadratureSpec:
-    # 3-d grids need the coarser-but-still-spectrally-accurate floor settings.
-    if d <= 2:
-        return QuadratureSpec()
-    return QuadratureSpec(truncation_radius_sigmas=8.0, points_per_sigma=10, max_dim_grid=3)
-
-
 def _forward_exact(family: MixtureFamily, alpha: int) -> float:
     if family.k == 1:
         return forward_exact_k1(family.d, family.c, family.sigma, alpha)
     return forward_exact_enum(family_mixture(family), alpha)
 
 
+_CHECKS = ("sandwich", "offset", "dimred", "alpha2")
+# Report fields the verify records leave out: the family is spread into its
+# own keys, and the tolerances and combined stderr stay internal.
+_REPORT_SKIP = ("family", "tol_forward", "tol_reverse", "stderr")
+
+
+def _record(check: str, family: MixtureFamily, rep) -> dict:
+    """Verify record: check name, family fields, the report's fields by name and ``ok``."""
+    fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name not in _REPORT_SKIP}
+    return {"check": check, **dataclasses.asdict(family), **fields, "ok": rep.ok}
+
+
 def cmd_verify(args) -> int:
-    checks = args.checks.split(",") if args.checks else ["sandwich", "offset", "dimred", "alpha2"]
+    checks = args.checks.split(",") if args.checks else list(_CHECKS)
     for name in checks:
-        if name not in ("sandwich", "offset", "dimred", "alpha2"):
+        if name not in _CHECKS:
             raise CliError(f"unknown check {name!r}")
     families = [_family_from_kv(text) for text in args.family] if args.family else _default_verify_grid()
     alphas = tuple(args.alpha) if args.alpha else (2, 3, 5)
     mc = McSpec(n_samples=args.mc_samples, seed=args.seed)
 
     records = []
-    failures = []
-
-    def emit(record: dict) -> None:
-        records.append(record)
-        if not record["ok"]:
-            failures.append(record)
-
     for family in families:
-        fam = {"d": family.d, "k": family.k, "c": family.c, "sigma": family.sigma}
+        quad = grid_spec(family.d)
         for alpha in alphas:
             if "sandwich" in checks:
-                rep = verify_sandwich(family, alpha, _sandwich_quad_spec(family.d), mc)
-                emit(
-                    {
-                        "check": "sandwich",
-                        **fam,
-                        "alpha": alpha,
-                        "oracle_forward": rep.oracle_forward,
-                        "oracle_forward_stderr": rep.oracle_forward_stderr,
-                        "oracle_reverse": rep.oracle_reverse,
-                        "oracle_reverse_stderr": rep.oracle_reverse_stderr,
-                        "forward_exact": rep.forward_exact,
-                        "forward_bound": rep.forward_bound,
-                        "reverse_bound": rep.reverse_bound,
-                        "tight": rep.tight,
-                        "loose": rep.loose,
-                        "forward_matches_exact": rep.forward_matches_exact,
-                        "ok_forward_below_exact": rep.ok_forward_below_exact,
-                        "ok_exact_below_bound": rep.ok_exact_below_bound,
-                        "ok_reverse_below_bound": rep.ok_reverse_below_bound,
-                        "ok_tight_below_loose": rep.ok_tight_below_loose,
-                        "ok": rep.ok,
-                    }
-                )
+                records.append(_record("sandwich", family, verify_sandwich(family, alpha, quad, mc)))
             if "offset" in checks and family.d <= 4:
-                rep = verify_offset_identity(family, alpha, _sandwich_quad_spec(family.d), mc)
-                emit(
-                    {
-                        "check": "offset-identity",
-                        **fam,
-                        "alpha": alpha,
-                        "lhs": rep.lhs,
-                        "shift_term": rep.shift_term,
-                        "tail_term": rep.tail_term,
-                        "tol": rep.tol,
-                        "ok": rep.ok,
-                    }
-                )
+                records.append(_record("offset-identity", family, verify_offset_identity(family, alpha, quad, mc)))
             if "alpha2" in checks:
                 exact2 = _forward_exact(family, 2)
                 bound2 = forward_bound(family, 2)
                 ok = abs(exact2 - bound2) <= 1e-9 * max(1.0, abs(bound2))
-                emit(
-                    {
-                        "check": "alpha2-tightness",
-                        **fam,
-                        "alpha": 2,
-                        "forward_exact": exact2,
-                        "forward_bound": bound2,
-                        "ok": ok,
-                    }
-                )
+                fields = {"alpha": 2, "forward_exact": exact2, "forward_bound": bound2, "ok": ok}
+                records.append({"check": "alpha2-tightness", **dataclasses.asdict(family), **fields})
         if "dimred" in checks and family.d <= 2:
+            centers = family_mixture(family).centers
             for alpha in alphas:
-                centers = family_mixture(family).centers
-                rep = verify_dim_reduction(centers, family.sigma, alpha)
-                emit(
-                    {
-                        "check": "dim-reduction",
-                        **fam,
-                        "alpha": alpha,
-                        "value_lowdim": rep.value_lowdim,
-                        "value_embedded": rep.value_embedded,
-                        "tol": rep.tol,
-                        "ok": rep.ok,
-                    }
-                )
+                records.append(_record("dim-reduction", family, verify_dim_reduction(centers, family.sigma, alpha)))
 
+    failures = [record for record in records if not record["ok"]]
     meta = {"record": "meta", "tool": "amplify-acct", "version": __version__, "config": _resolved_config(args)}
     lines = [json.dumps(meta, sort_keys=True)] + [json.dumps(r, sort_keys=True) for r in records]
     _write_lines(args.out, lines)

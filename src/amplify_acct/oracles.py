@@ -50,6 +50,7 @@ __all__ = [
     "OffsetIdentityReport",
     "QuadratureSpec",
     "SandwichReport",
+    "grid_spec",
     "mc_renyi",
     "mixture_logpdf",
     "point_mixture",
@@ -79,6 +80,19 @@ class QuadratureSpec:
             raise ValueError(f"points_per_sigma must be >= 10, got {self.points_per_sigma}")
         if self.max_dim_grid < 1:
             raise ValueError("max_dim_grid must be >= 1")
+
+
+def grid_spec(dim: int) -> QuadratureSpec:
+    """Grid settings for a ``dim``-dimensional integral.
+
+    Up to two dimensions the defaults; a 3-d grid at the default density
+    would not fit, so it takes the floor settings (8 sigma, 10 points per
+    sigma), still spectrally accurate.  Above three the grid refuses and
+    callers fall back to Monte Carlo.
+    """
+    if dim <= 2:
+        return QuadratureSpec()
+    return QuadratureSpec(truncation_radius_sigmas=8.0, points_per_sigma=10, max_dim_grid=3)
 
 
 @dataclass(frozen=True)
@@ -426,14 +440,7 @@ def verify_dim_reduction(
     low_dim = centers.shape[1]
     if low_dim + 1 > 3:
         raise ValueError("dimension reduction check is limited to embedded dimension <= 3")
-    if quad_spec is None:
-        # A 3-d grid at the default density would not fit; coarsen within the
-        # allowed floor when the embedded side needs three dimensions.
-        quad_spec = (
-            QuadratureSpec()
-            if low_dim + 1 <= 2
-            else QuadratureSpec(truncation_radius_sigmas=8.0, points_per_sigma=10, max_dim_grid=3)
-        )
+    quad_spec = quad_spec or grid_spec(low_dim + 1)
 
     n = len(centers)
     weights = np.full(n, 1.0 / n)

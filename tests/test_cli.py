@@ -18,7 +18,11 @@ def test_import_loads_no_scipy():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(amplify_acct.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, amplify_acct.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    forbidden = ("scipy", "concurrent.futures")
+    code = (
+        "import sys, amplify_acct.cli; "
+        f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {forbidden!r})))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
@@ -278,21 +282,6 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", str(cfg), "epsilon", "--mech", "gaussian", "--delta", "1e-5")
         assert code == EXIT_CONFIG
         assert "sigm" in err
-
-    def test_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("AMPLIFY_ACCT_THREADS", "zero")
-        code, _, err = run(capsys, "curve", "--gaussian", "c=1,sigma=1", "--max-order", "3")
-        assert code == EXIT_CONFIG
-        assert "AMPLIFY_ACCT_THREADS" in err
-
-    def test_threads_env_parallel_matches_serial(self, capsys, monkeypatch, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        run(capsys, "curve", "--gaussian", "c=1,sigma=1", "--bis", "T=6,k=2", "--max-order", "20",
-            "--out", str(serial))
-        monkeypatch.setenv("AMPLIFY_ACCT_THREADS", "4")
-        run(capsys, "curve", "--gaussian", "c=1,sigma=1", "--bis", "T=6,k=2", "--max-order", "20",
-            "--out", str(parallel))
-        assert serial.read_bytes() == parallel.read_bytes()
 
 
 def _load_golden_recorder():
