@@ -472,10 +472,6 @@ class BisPoissonComparison:
     def loose_below_poisson(self) -> bool:
         return bool(np.all(self.eps_bis_loose <= self.eps_poisson))
 
-    @property
-    def max_rel_gap_tight(self) -> float:
-        return float(np.max(np.abs(self.eps_bis_tight - self.eps_poisson) / self.eps_poisson))
-
     def poisson_over_tight_ratio(self, alpha: int) -> float:
         idx = self.orders.index(validate_order(alpha))
         return float(self.eps_poisson[idx] / self.eps_bis_tight[idx])

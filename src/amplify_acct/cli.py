@@ -486,6 +486,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action, key: str, value):
+    """A config value checked and converted as its flag's command-line text would be.
+
+    Numbers reach the flag's ``type`` as their JSON text, so 2.5 is no int;
+    ``append`` flags take a list, checked element by element; null only
+    stands for a flag whose default is unset.
+    """
+    if value is None and action.default is None:
+        return None
+    many = isinstance(action, argparse._AppendAction)
+    if many != isinstance(value, list):
+        raise CliError(f"config key {key!r} must be {'a list' if many else 'one value'}, got {json.dumps(value)}")
+    items = []
+    for item in value if many else [value]:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise CliError(f"config key {key!r} takes strings or numbers, got {json.dumps(item)}")
+        text = item if isinstance(item, str) else json.dumps(item)
+        try:
+            items.append(action.type(text) if action.type else text)
+        except ValueError:
+            raise CliError(f"config key {key!r} must be {action.type.__name__}, got {json.dumps(item)}") from None
+        if action.choices is not None and items[-1] not in action.choices:
+            raise CliError(f"config key {key!r} must be one of {list(action.choices)}, got {json.dumps(item)}")
+    return items if many else items[0]
+
+
 def _apply_config_file(parser, argv, args):
     """Merge the per-command config-file section under the explicit flags."""
     with open(args.config) as fh:
@@ -504,9 +530,9 @@ def _apply_config_file(parser, argv, args):
         raise CliError(f"unknown config key(s) for {args.command!r}: {sorted(unknown)}")
     # set_defaults fills only values the command line left at their default,
     # so explicit flags keep priority.
-    for sub_action in parser._subparsers._group_actions:
-        if args.command in sub_action.choices:
-            sub_action.choices[args.command].set_defaults(**section)
+    command_parser = parser._subparsers._group_actions[0].choices[args.command]
+    actions = {action.dest: action for action in command_parser._actions}
+    command_parser.set_defaults(**{key: _config_value(actions[key], key, value) for key, value in section.items()})
     return parser.parse_args(argv)
 
 

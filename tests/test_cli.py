@@ -283,6 +283,22 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert "sigm" in err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"d": 2.5}, "'d'"),
+            ({"d": 3, "sigma": [1]}, "'sigma'"),
+        ],
+    )
+    def test_value_of_wrong_type_exits_2(self, capsys, tmp_path, section, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": section}))
+        code, out, err = run(capsys, "--config", str(cfg), "epsilon", "--mech", "model-split", "--delta", "1e-5")
+        assert code == EXIT_CONFIG
+        assert f"config key {key}" in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 def _load_golden_recorder():
     import importlib.util
