@@ -136,6 +136,7 @@ class TestCurve:
             (["curve", "--partial-split", "d=3"], "c_split, c_nonsplit"),
             (["verify", "--family", "k=1", "--checks", "alpha2"], "needs key(s) d"),
             (["curve", "--bis", "T=10,T=20,k=4"], "key 'T' repeated"),
+            (["verify", "--family", "d=2,k=1", "--alpha", "1", "--checks", "alpha2"], "integer >= 2, got 1"),
         ],
     )
     def test_malformed_key_value_exits_2(self, capsys, argv, key):
