@@ -79,14 +79,7 @@ from .oracles import (
     verify_offset_identity,
     verify_sandwich,
 )
-from .rdp_math import (
-    MixtureFamily,
-    family_mixture,
-    forward_bound,
-    forward_exact_enum,
-    forward_exact_k1,
-    validate_order,
-)
+from .rdp_math import MixtureFamily, family_mixture, forward_bound, forward_exact_enum, forward_exact_k1, validate_order
 from .training_sim import (
     SimConfig,
     even_split_plan,
@@ -186,13 +179,8 @@ def _curve_mechanisms(args):
 _CONFIG_SKIP = ("command", "config", "out", "out_dir")
 
 
-def _resolved_config(args, skip=_CONFIG_SKIP) -> dict:
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        out[key] = value
-    return out
+def _resolved_config(args) -> dict:
+    return {key: value for key, value in sorted(vars(args).items()) if key not in _CONFIG_SKIP and not callable(value)}
 
 
 def _config_json(args) -> str:
@@ -288,14 +276,7 @@ def _family_from_kv(text: str) -> MixtureFamily:
 
 
 def _default_verify_grid():
-    families = []
-    for d in (2, 3, 4):
-        for k in (1, 2):
-            if k > d:
-                continue
-            for ratio in (0.5, 1.0, 2.0):
-                families.append(MixtureFamily(d=d, k=k, c=ratio, sigma=1.0))
-    return families
+    return [MixtureFamily(d=d, k=k, c=ratio, sigma=1.0) for d in (2, 3, 4) for k in (1, 2) for ratio in (0.5, 1.0, 2.0)]
 
 
 def _forward_exact(family: MixtureFamily, alpha: int) -> float:
