@@ -183,10 +183,6 @@ def _resolved_config(args) -> dict:
     return {key: value for key, value in sorted(vars(args).items()) if key not in _CONFIG_SKIP and not callable(value)}
 
 
-def _config_json(args) -> str:
-    return json.dumps(_resolved_config(args), sort_keys=True)
-
-
 def _orders(args):
     return tuple(range(2, args.max_order + 1))
 
@@ -223,7 +219,7 @@ def cmd_curve(args) -> int:
     rows.sort(key=lambda r: (r[0], r[1]))
 
     if args.format == "csv":
-        lines = [f"# amplify-acct {__version__}", f"# config: {_config_json(args)}"]
+        lines = [f"# amplify-acct {__version__}", f"# config: {json.dumps(_resolved_config(args), sort_keys=True)}"]
         lines.append("alpha,epsilon,mechanism,mode,provenance")
         for label, alpha, eps, prov in rows:
             lines.append(f"{alpha},{_fmt(eps)},{label},{args.mode},{prov}")
@@ -478,9 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_value(action, key: str, value):
     """A config value checked and converted as its flag's command-line text would be.
 
-    Numbers reach the flag's ``type`` as their JSON text, so 2.5 is no int;
-    ``append`` flags take a list, checked element by element; null only
-    stands for a flag whose default is unset.
+    Non-strings reach the flag's ``type`` and ``choices`` as their JSON text,
+    so 2.5 is no int; ``append`` flags take a list, checked element by
+    element; null stands only for a flag whose default is unset.
     """
     if value is None and action.default is None:
         return None
@@ -489,8 +485,6 @@ def _config_value(action, key: str, value):
         raise CliError(f"config key {key!r} must be {'a list' if many else 'one value'}, got {json.dumps(value)}")
     items = []
     for item in value if many else [value]:
-        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
-            raise CliError(f"config key {key!r} takes strings or numbers, got {json.dumps(item)}")
         text = item if isinstance(item, str) else json.dumps(item)
         try:
             items.append(action.type(text) if action.type else text)
