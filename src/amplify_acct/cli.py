@@ -21,7 +21,8 @@ also needs its flag in ``_add_mech_flags``).  The only special case is
 ``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.
 
 A JSON config file (``--config``) holds one object per command name;
-explicit flags override config values, unknown config keys are errors.
+explicit flags override config values; unknown keys, and values their
+flag would not accept, are errors.
 Every output embeds the fully resolved configuration and the tool
 version, outputs are byte-identical for identical (flags, config, seed),
 and numbers print with 12 significant digits.  Exit codes: 0 success,
