@@ -21,8 +21,9 @@ also needs its flag in ``_add_mech_flags``).  The only special case is
 ``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.
 
 A JSON config file (``--config``) holds one object per command name;
-explicit flags override config values; unknown keys, and values their
-flag would not accept, are errors.
+explicit flags override config values (a repeatable flag replaces the
+config's list); unknown keys, and values their flag would not accept, are
+errors.
 Every output embeds the fully resolved configuration and the tool
 version, outputs are byte-identical for identical (flags, config, seed),
 and numbers print with 12 significant digits.  Exit codes: 0 success,
@@ -513,10 +514,15 @@ def _apply_config_file(parser, argv, args):
     if unknown:
         raise CliError(f"unknown config key(s) for {args.command!r}: {sorted(unknown)}")
     # set_defaults fills only values the command line left at their default,
-    # so explicit flags keep priority.
+    # so explicit flags keep priority.  argparse appends to a list default,
+    # so an append flag given on the command line (they default to None)
+    # drops its config list.
     command_parser = parser._subparsers._group_actions[0].choices[args.command]
     actions = {action.dest: action for action in command_parser._actions}
-    command_parser.set_defaults(**{key: _config_value(actions[key], key, value) for key, value in section.items()})
+    values = {key: _config_value(actions[key], key, value) for key, value in section.items()}
+    appended = {key for key, action in actions.items() if isinstance(action, argparse._AppendAction)}
+    given = {key for key in values if key in appended and getattr(args, key) is not None}
+    command_parser.set_defaults(**{key: value for key, value in values.items() if key not in given})
     return parser.parse_args(argv)
 
 

@@ -7,9 +7,12 @@ framework.  Runs record, per iteration, the diagnostics the accounting
 assumptions rest on: per-sample post-clip norms, gradient support outside
 the assigned submodel, gradients incident to dropped units, and
 participation counts.  Violation counts must be exactly zero on a correct
-run.  One loop (``_train``) serves every mode; a per-mode step hook (plain,
-model split, dropout) supplies the masked per-sample gradients and their
-diagnostics.
+run.  ``support_violations`` is zero by construction: the model-split step
+counts nonzeros in exactly the entries it has just zeroed.  The dropout
+zeroing count, by contrast, tests the gradient formula.  One loop
+(``_train``) serves every mode: a per-mode step hook (plain, model split,
+dropout) returns the iteration's masked gradients, one row per
+participant, and the loop clips the rows and sums them once.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, label, iteration) for per-iteration draws (noise) and
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
 
@@ -129,15 +132,15 @@ class HiddenLayerTask:
         h, m = self.hidden_dim, self.in_dim
         return w[: h * m].reshape(h, m), w[h * m :]
 
-    def per_sample_gradient(self, w: np.ndarray, i: int, mask: np.ndarray) -> np.ndarray:
+    def per_sample_gradients(self, w: np.ndarray, idx: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """One gradient row per sample ``idx[j]`` under hidden-unit mask ``masks[j]``."""
         weights, readout = self.unpack(w)
-        x = self.features[i]
-        act = np.tanh(weights @ x)
-        hidden = mask * act
-        residual = float(readout @ hidden - self.targets[i])
-        g_readout = residual * hidden
-        g_weights = (residual * readout * mask * (1.0 - act**2))[:, None] * x[None, :]
-        return np.concatenate([g_weights.ravel(), g_readout])
+        x = self.features[idx]
+        act = np.tanh(x @ weights.T)
+        hidden = masks * act
+        residual = (hidden @ readout - self.targets[idx])[:, None]
+        g_weights = (residual * readout * masks * (1.0 - act**2))[:, :, None] * x[:, None, :]
+        return np.concatenate([g_weights.reshape(len(x), weights.size), residual * hidden], axis=1)
 
     def incident_indices(self, unit: int) -> np.ndarray:
         """Parameter indices whose gradients a dropped unit forces to zero."""
@@ -289,20 +292,10 @@ class SimTrace:
         }
 
     def summary_dict(self) -> dict:
-        cfg = {
-            "T": self.config.T,
-            "c": self.config.c,
-            "sigma": self.config.sigma,
-            "mode": self.config.mode,
-            "d": None if self.config.plan is None else self.config.plan.d,
-            "dropout_rate": self.config.dropout_rate if self.config.mode == "dropout" else None,
-            "schedule": self.config.schedule,
-            "k": self.config.k,
-            "gamma": self.config.gamma,
-            "seed": self.config.seed,
-            "learning_rate": self.config.learning_rate,
-            "delta": self.config.delta,
-        }
+        cfg = {f.name: getattr(self.config, f.name) for f in fields(SimConfig) if f.name != "plan"}
+        cfg["d"] = None if self.config.plan is None else self.config.plan.d
+        if self.config.mode != "dropout":
+            cfg["dropout_rate"] = None
         privacy = None
         if self.privacy is not None:
             if self.privacy.refused:
@@ -345,14 +338,6 @@ def assign_bis_schedule(n: int, T: int, k: int, seed: int) -> np.ndarray:
     return matrix
 
 
-def _clip_in_place(grad: np.ndarray, c: float) -> float:
-    norm = float(np.linalg.norm(grad))
-    if norm > c and norm > 0.0:
-        grad *= c / norm
-        return c
-    return norm
-
-
 def _participants(config: SimConfig, n: int, t: int, bis_matrix) -> np.ndarray:
     if config.schedule == "all":
         return np.arange(n)
@@ -377,60 +362,54 @@ def _iteration_plan(config: SimConfig, t: int) -> SplitPlan:
     return SplitPlan(tuple(blocks), plan.nonsplit, per_iteration=True)
 
 
-def _plain_step(task, config, w, t):
+def _plain_step(task, config, w, t, participants):
     """Unmasked per-sample gradients."""
-    grads = task.per_sample_gradients(w)
-    return (lambda i: grads[i].copy()), {}
+    return task.per_sample_gradients(w)[participants], {}
 
 
-def _split_step(task, config, w, t):
+def _split_step(task, config, w, t, participants):
     """Per-sample gradients masked to one uniformly drawn block plus the non-split set."""
-    grads = task.per_sample_gradients(w)
     plan = _iteration_plan(config, t)
-    allowed_mask = np.zeros((plan.d, task.param_dim), dtype=bool)
+    allowed = np.zeros((plan.d, task.param_dim), dtype=bool)
     for b, block in enumerate(plan.blocks):
-        allowed_mask[b, list(block)] = True
-        allowed_mask[b, list(plan.nonsplit)] = True
-    diag = {"assignment_counts": [0] * plan.d, "support_violations": 0}
-
-    def gradient(i):
-        g = grads[i].copy()
-        b = int(stream(config.seed, "assign", t, i).integers(plan.d))
-        diag["assignment_counts"][b] += 1
-        g[~allowed_mask[b]] = 0.0
-        diag["support_violations"] += int(np.count_nonzero(g[~allowed_mask[b]]))
-        return g
-
-    return gradient, diag
+        allowed[b, list(block)] = True
+        allowed[b, list(plan.nonsplit)] = True
+    blocks = np.array([stream(config.seed, "assign", t, i).integers(plan.d) for i in participants], dtype=int)
+    outside = ~allowed[blocks]
+    grads = task.per_sample_gradients(w)[participants]
+    grads[outside] = 0.0
+    return grads, {
+        "assignment_counts": np.bincount(blocks, minlength=plan.d).tolist(),
+        "support_violations": int(np.count_nonzero(grads[outside])),
+    }
 
 
-def _dropout_step(task, config, w, t, forced_mask=None):
-    """Per-sample gradients under a rate-0.5 mask on the hidden units."""
+def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None):
+    """Per-sample gradients under a rate-0.5 mask on the hidden units.
+
+    ``incidence[u]`` marks the parameters unit ``u`` feeds or reads; a
+    nonzero gradient there while ``u`` is dropped is a zeroing violation.
+    """
     h = task.hidden_dim
-    diag = {"zeroing_violations": 0, "mask_ones": 0, "mask_draws": 0}
-
-    def gradient(i):
-        if forced_mask is not None:
-            mask = np.asarray(forced_mask, dtype=float)
-        else:
-            mask = stream(config.seed, "mask", t, i).integers(0, 2, size=h).astype(float)
-        diag["mask_ones"] += int(mask.sum())
-        diag["mask_draws"] += h
-        g = task.per_sample_gradient(w, i, mask)
-        for unit in np.flatnonzero(mask == 0.0):
-            diag["zeroing_violations"] += int(np.count_nonzero(g[task.incident_indices(unit)]))
-        return g
-
-    return gradient, diag
+    masks = np.empty((len(participants), h))
+    for j, i in enumerate(participants):
+        masks[j] = stream(config.seed, "mask", t, i).integers(0, 2, size=h) if forced_mask is None else forced_mask
+    grads = task.per_sample_gradients(w, participants, masks)
+    return grads, {
+        "zeroing_violations": int(np.count_nonzero(grads[(masks == 0.0) @ incidence])),
+        "mask_ones": int(masks.sum()),
+        "mask_draws": masks.size,
+    }
 
 
 def _train(task, config: SimConfig, step) -> SimTrace:
     """The clipped, noised gradient-descent loop shared by every mode.
 
-    ``step(task, config, w, t)`` returns the iteration's per-sample gradient
-    function and a dict of the record fields that function fills in as it
-    is called (masking diagnostics).  The loop owns participation, clipping,
-    the noise draw, the update and the record.
+    ``step(task, config, w, t, participants)`` returns the iteration's
+    masked gradients, one row per participant in order, and its record
+    fields (masking diagnostics; ``support_violations`` is zero by
+    construction).  The loop owns participation, clipping by row, the sum
+    in participant order, the noise draw, the update and the record.
     """
     n, m = task.n_samples, task.param_dim
     bis_matrix = assign_bis_schedule(n, config.T, config.k, config.seed) if config.schedule == "bis" else None
@@ -441,25 +420,19 @@ def _train(task, config: SimConfig, step) -> SimTrace:
         trace.bis_row_sums = [int(s) for s in bis_matrix.sum(axis=1)]
     for t in range(config.T):
         participants = _participants(config, n, t, bis_matrix)
-        gradient, diag = step(task, config, w, t)
-        grad_sum = np.zeros(m)
-        max_norm = 0.0
-        norm_total = 0.0
-        for i in participants:
-            g = gradient(i)
-            norm = _clip_in_place(g, config.c)
-            max_norm = max(max_norm, norm)
-            norm_total += norm
-            grad_sum += g
+        grads, diag = step(task, config, w, t, participants)
+        norms = [float(np.linalg.norm(g)) for g in grads]
+        grads *= np.array([config.c / norm if norm > config.c else 1.0 for norm in norms]).reshape(-1, 1)
+        clipped = [min(norm, config.c) for norm in norms]
         noise = config.sigma * stream(config.seed, "noise", t).standard_normal(m)
-        w = w - config.learning_rate * (grad_sum + noise)
+        w = w - config.learning_rate * (grads.sum(axis=0) + noise)
         trace.records.append(
             {
                 "iteration": t,
-                "participants": int(len(participants)),
+                "participants": len(participants),
                 "assignment_counts": None,
-                "max_clipped_norm": max_norm,
-                "mean_clipped_norm": norm_total / max(len(participants), 1),
+                "max_clipped_norm": max(clipped, default=0.0),
+                "mean_clipped_norm": sum(clipped) / max(len(clipped), 1),
                 "noise_norm": float(np.linalg.norm(noise)),
                 "loss": task.loss(w),
                 "support_violations": 0,
@@ -504,7 +477,8 @@ def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=N
     """
     if config.mode != "dropout":
         raise ValueError("config.mode must be 'dropout'")
-    return _train(task, config, partial(_dropout_step, forced_mask=forced_mask))
+    incidence = np.array([np.isin(np.arange(task.param_dim), task.incident_indices(u)) for u in range(task.hidden_dim)])
+    return _train(task, config, partial(_dropout_step, incidence=incidence, forced_mask=forced_mask))
 
 
 def report_privacy(config: SimConfig) -> PrivacyReport:

@@ -300,6 +300,26 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "config, argv, kept, dropped",
+        [
+            ({"verify": {"alpha": [2]}},
+             ["verify", "--family", "d=2,k=1,c=1,sigma=1", "--checks", "alpha2", "--alpha", "3"],
+             '"alpha": [3]', '"alpha": [2'),
+            ({"curve": {"bis": ["T=10,k=4"]}},
+             ["curve", "--bis", "T=20,k=4", "--max-order", "3", "--mode", "loose"],
+             "bis(T=20,k=4", "T=10"),
+        ],
+        ids=["verify-alpha", "curve-bis"],
+    )
+    def test_repeated_flag_replaces_config_list(self, capsys, tmp_path, config, argv, kept, dropped):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == EXIT_OK
+        assert kept in out
+        assert dropped not in out
+
 
 def _load_golden_recorder():
     import importlib.util

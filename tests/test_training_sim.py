@@ -129,25 +129,36 @@ class TestModelSplitRun:
 
 class TestDropoutRun:
     def test_all_units_dropped_gives_zero_gradients(self):
+        # sigma=1 moves w off 0, where every gradient vanishes anyway, so only
+        # the mask keeps the gradients at zero and the run pure noise.
         task = make_hidden_task(20, 5, 4, seed=1)
-        config = SimConfig(T=4, c=1.0, sigma=0.0, mode="dropout", seed=0)
+        config = SimConfig(T=4, c=1.0, sigma=1.0, mode="dropout", seed=0)
         trace = run_dropout_training(task, config, forced_mask=np.zeros(4))
-        assert np.all(trace.final_params == 0.0)
+        expected = np.zeros(task.param_dim)
+        for t in range(config.T):
+            noise = stream(0, "noise", t).standard_normal(task.param_dim)
+            expected = expected - config.learning_rate * (config.sigma * noise)
+        assert np.array_equal(trace.final_params, expected)
+        assert trace.max_clipped_norm == 0.0
         assert trace.zeroing_violations == 0
 
     def test_no_dropout_matches_manual_step(self):
+        # The second iteration steps from the nonzero w the first noise step left.
         task = make_hidden_task(10, 4, 3, seed=2)
-        config = SimConfig(T=1, c=10.0, sigma=0.0, mode="dropout", seed=0, learning_rate=0.5)
+        config = SimConfig(T=2, c=0.2, sigma=1.0, mode="dropout", seed=0, learning_rate=0.5)
         trace = run_dropout_training(task, config, forced_mask=np.ones(3))
-        w0 = np.zeros(task.param_dim)
+        w1 = -0.5 * (1.0 * stream(0, "noise", 0).standard_normal(task.param_dim))
+        grads = task.per_sample_gradients(w1, np.arange(task.n_samples), np.ones((task.n_samples, 3)))
         manual = np.zeros(task.param_dim)
-        for i in range(task.n_samples):
-            g = task.per_sample_gradient(w0, i, np.ones(3))
+        clipped = 0
+        for g in grads:
             norm = np.linalg.norm(g)
-            if norm > 10.0:
-                g = g * (10.0 / norm)
+            if norm > 0.2:
+                g = g * (0.2 / norm)
+                clipped += 1
             manual += g
-        expected = w0 - 0.5 * manual
+        assert 0 < clipped < task.n_samples
+        expected = w1 - 0.5 * (manual + 1.0 * stream(0, "noise", 1).standard_normal(task.param_dim))
         assert np.array_equal(trace.final_params, expected)
 
     def test_random_masks_zero_incident_gradients(self):
@@ -163,6 +174,25 @@ class TestDropoutRun:
     def test_rate_other_than_half_rejected(self):
         with pytest.raises(ValueError, match="0.5"):
             SimConfig(T=2, c=1.0, sigma=1.0, mode="dropout", dropout_rate=0.4)
+
+    def test_batched_gradients_match_finite_differences(self):
+        task = make_hidden_task(12, 4, 3, seed=5)
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal(task.param_dim)
+        idx = rng.permutation(task.n_samples)[:7]
+        masks = rng.integers(0, 2, size=(7, 3)).astype(float)
+        assert 0 < masks.sum() < masks.size
+
+        def loss(w, i, mask):
+            weights, readout = task.unpack(w)
+            return 0.5 * (readout @ (mask * np.tanh(weights @ task.features[i])) - task.targets[i]) ** 2
+
+        grads = task.per_sample_gradients(w, idx, masks)
+        assert grads.shape == (7, task.param_dim)
+        h = 1e-6
+        for row, i, mask in zip(grads, idx, masks):
+            fd = [(loss(w + h * e, i, mask) - loss(w - h * e, i, mask)) / (2 * h) for e in np.eye(task.param_dim)]
+            np.testing.assert_allclose(row, fd, rtol=1e-6, atol=1e-9)
 
     def test_incident_indices_cover_rows_and_readout(self):
         task = HiddenLayerTask(np.zeros((1, 3)), np.zeros(1), hidden_dim=2)
@@ -212,6 +242,20 @@ class TestSchedulesInRuns:
         total = sum(r["participants"] for r in trace.records)
         expect = 50 * 40 * 0.3
         assert abs(total - expect) <= 3 * math.sqrt(50 * 40 * 0.3 * 0.7)
+
+    @pytest.mark.parametrize("mode", ["plain", "model_split", "dropout"])
+    def test_iteration_without_participants(self, mode):
+        # At seed 5 the third of four Poisson draws over 3 samples is empty.
+        config = SimConfig(T=4, c=1.0, sigma=1.0, mode=mode, schedule="poisson", gamma=0.3, seed=5,
+                           plan=even_split_plan(4, 2) if mode == "model_split" else None)
+        if mode == "dropout":
+            trace = run_dropout_training(make_hidden_task(3, 4, 2, seed=0), config)
+        else:
+            trace = run_model_split_training(make_linear_task(3, 4, seed=0), config)
+        empty = trace.records[2]
+        assert [r["participants"] for r in trace.records] == [1, 1, 0, 2]
+        assert empty["max_clipped_norm"] == empty["mean_clipped_norm"] == 0.0
+        assert empty["mask_draws"] == (0 if mode == "dropout" else None)
 
 
 class TestReportPrivacy:
