@@ -27,7 +27,8 @@ errors.
 Every output embeds the fully resolved configuration and the tool
 version, outputs are byte-identical for identical (flags, config, seed),
 and numbers print with 12 significant digits.  Exit codes: 0 success,
-1 verification failure, 2 configuration error or refusal.
+1 verification failure, 2 configuration error, refusal, or a file that
+cannot be read or written.
 
 Output schemas
 --------------
@@ -534,10 +535,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             args = _apply_config_file(parser, argv, args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

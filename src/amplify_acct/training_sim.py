@@ -14,12 +14,12 @@ zeroing count, by contrast, tests the gradient formula.  One loop
 dropout) returns the iteration's masked gradients, one row per
 participant, and the loop clips the rows and sums them once.
 
-Randomness comes from counter-based Philox streams keyed by
-(seed, label, iteration) for per-iteration draws (noise) and
-(seed, label, iteration, sample) for per-sample draws (submodel
-assignment, dropout masks, participation), so per-sample work could be
-evaluated in any order without changing results.  Same seed, same trace,
-bit for bit.
+Randomness comes from counter-based Philox streams keyed by (seed,
+label, iteration): one array per iteration and purpose (noise,
+participation, submodel assignment, dropout masks), drawn for all n
+samples even when fewer take part; sample i reads entry i, so its value
+depends only on (seed, purpose, iteration, i) and per-sample work could
+be evaluated in any order.  Same seed, same trace, bit for bit.
 """
 
 from __future__ import annotations
@@ -169,7 +169,6 @@ class SplitPlan:
 
     blocks: tuple  # of index tuples
     nonsplit: tuple = ()
-    per_iteration: bool = False
 
     def __post_init__(self):
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
@@ -192,14 +191,14 @@ class SplitPlan:
         return len(self.blocks)
 
 
-def even_split_plan(param_dim: int, d: int, nonsplit_count: int = 0, per_iteration: bool = False) -> SplitPlan:
+def even_split_plan(param_dim: int, d: int, nonsplit_count: int = 0) -> SplitPlan:
     """Partition [0, param_dim) into d contiguous blocks, last indices non-split."""
     split_dim = param_dim - nonsplit_count
     if split_dim < d:
         raise ValueError(f"cannot split {split_dim} parameters into {d} blocks")
     bounds = np.linspace(0, split_dim, d + 1).astype(int)
     blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(d))
-    return SplitPlan(blocks, tuple(range(split_dim, param_dim)), per_iteration)
+    return SplitPlan(blocks, tuple(range(split_dim, param_dim)))
 
 
 @dataclass(frozen=True)
@@ -324,18 +323,16 @@ class SimTrace:
 def assign_bis_schedule(n: int, T: int, k: int, seed: int) -> np.ndarray:
     """n x T participation matrix; each row is a uniform k-subset of [T].
 
-    Rows are drawn from independent per-sample streams, so every row sums
-    to exactly k and column sums are Binomial(n, k/T).
+    One (n, T) uniform draw; row i joins the iterations of its k smallest
+    keys.  Rows are iid, so every row sums to exactly k, column sums are
+    Binomial(n, k/T), and the first rows do not depend on n.
     """
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= T, got k={k}, T={T}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    matrix = np.zeros((n, T), dtype=np.uint8)
-    for i in range(n):
-        cols = stream(seed, "bis", i).choice(T, size=k, replace=False)
-        matrix[i, cols] = 1
-    return matrix
+    keys = stream(seed, "bis").random((n, T))
+    return (keys.argsort(axis=1).argsort(axis=1) < k).astype(np.uint8)
 
 
 def _participants(config: SimConfig, n: int, t: int, bis_matrix) -> np.ndarray:
@@ -343,23 +340,7 @@ def _participants(config: SimConfig, n: int, t: int, bis_matrix) -> np.ndarray:
         return np.arange(n)
     if config.schedule == "bis":
         return np.flatnonzero(bis_matrix[:, t])
-    included = [i for i in range(n) if stream(config.seed, "poisson", t, i).random() < config.gamma]
-    return np.array(included, dtype=int)
-
-
-def _iteration_plan(config: SimConfig, t: int) -> SplitPlan:
-    plan = config.plan
-    if not plan.per_iteration:
-        return plan
-    # Fresh disjoint partition each iteration, same block sizes; the
-    # non-split set stays fixed (the accounting is unaffected either way).
-    split_indices = np.array([i for b in plan.blocks for i in b])
-    perm = stream(config.seed, "plan", t).permutation(split_indices)
-    blocks, start = [], 0
-    for b in plan.blocks:
-        blocks.append(tuple(perm[start : start + len(b)]))
-        start += len(b)
-    return SplitPlan(tuple(blocks), plan.nonsplit, per_iteration=True)
+    return np.flatnonzero(stream(config.seed, "poisson", t).random(n) < config.gamma)
 
 
 def _plain_step(task, config, w, t, participants):
@@ -369,12 +350,12 @@ def _plain_step(task, config, w, t, participants):
 
 def _split_step(task, config, w, t, participants):
     """Per-sample gradients masked to one uniformly drawn block plus the non-split set."""
-    plan = _iteration_plan(config, t)
+    plan = config.plan
     allowed = np.zeros((plan.d, task.param_dim), dtype=bool)
     for b, block in enumerate(plan.blocks):
         allowed[b, list(block)] = True
         allowed[b, list(plan.nonsplit)] = True
-    blocks = np.array([stream(config.seed, "assign", t, i).integers(plan.d) for i in participants], dtype=int)
+    blocks = stream(config.seed, "assign", t).integers(plan.d, size=task.n_samples)[participants]
     outside = ~allowed[blocks]
     grads = task.per_sample_gradients(w)[participants]
     grads[outside] = 0.0
@@ -390,10 +371,10 @@ def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None)
     ``incidence[u]`` marks the parameters unit ``u`` feeds or reads; a
     nonzero gradient there while ``u`` is dropped is a zeroing violation.
     """
-    h = task.hidden_dim
-    masks = np.empty((len(participants), h))
-    for j, i in enumerate(participants):
-        masks[j] = stream(config.seed, "mask", t, i).integers(0, 2, size=h) if forced_mask is None else forced_mask
+    if forced_mask is None:
+        masks = stream(config.seed, "mask", t).integers(0, 2, size=(task.n_samples, task.hidden_dim))[participants]
+    else:
+        masks = np.broadcast_to(forced_mask, (len(participants), task.hidden_dim))
     grads = task.per_sample_gradients(w, participants, masks)
     return grads, {
         "zeroing_violations": int(np.count_nonzero(grads[(masks == 0.0) @ incidence])),
@@ -402,28 +383,29 @@ def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None)
     }
 
 
-def _train(task, config: SimConfig, step) -> SimTrace:
-    """The clipped, noised gradient-descent loop shared by every mode.
+def _train(task, config: SimConfig, step, w: np.ndarray) -> SimTrace:
+    """The clipped, noised gradient-descent loop shared by every mode, from ``w``.
 
     ``step(task, config, w, t, participants)`` returns the iteration's
     masked gradients, one row per participant in order, and its record
     fields (masking diagnostics; ``support_violations`` is zero by
-    construction).  The loop owns participation, clipping by row, the sum
-    in participant order, the noise draw, the update and the record.
+    construction).  The loop owns participation, clipping by row (row
+    norms, scales, max and mean as arrays), the sum in participant order,
+    the noise draw, the update and the record.  Every random draw is one
+    array per (iteration, purpose) over all n samples.
     """
     n, m = task.n_samples, task.param_dim
     bis_matrix = assign_bis_schedule(n, config.T, config.k, config.seed) if config.schedule == "bis" else None
 
-    w = np.zeros(m)
     trace = SimTrace(config=config)
     if bis_matrix is not None:
         trace.bis_row_sums = [int(s) for s in bis_matrix.sum(axis=1)]
     for t in range(config.T):
         participants = _participants(config, n, t, bis_matrix)
         grads, diag = step(task, config, w, t, participants)
-        norms = [float(np.linalg.norm(g)) for g in grads]
-        grads *= np.array([config.c / norm if norm > config.c else 1.0 for norm in norms]).reshape(-1, 1)
-        clipped = [min(norm, config.c) for norm in norms]
+        norms = np.linalg.norm(grads, axis=1)
+        grads *= np.divide(config.c, norms, out=np.ones_like(norms), where=norms > config.c)[:, None]
+        clipped = np.minimum(norms, config.c)
         noise = config.sigma * stream(config.seed, "noise", t).standard_normal(m)
         w = w - config.learning_rate * (grads.sum(axis=0) + noise)
         trace.records.append(
@@ -431,8 +413,8 @@ def _train(task, config: SimConfig, step) -> SimTrace:
                 "iteration": t,
                 "participants": len(participants),
                 "assignment_counts": None,
-                "max_clipped_norm": max(clipped, default=0.0),
-                "mean_clipped_norm": sum(clipped) / max(len(clipped), 1),
+                "max_clipped_norm": float(clipped.max(initial=0.0)),
+                "mean_clipped_norm": float(clipped.sum()) / max(len(clipped), 1),
                 "noise_norm": float(np.linalg.norm(noise)),
                 "loss": task.loss(w),
                 "support_violations": 0,
@@ -459,12 +441,12 @@ def run_model_split_training(task: SyntheticTask, config: SimConfig) -> SimTrace
     """
     if config.mode == "dropout":
         raise ValueError("use run_dropout_training for dropout mode")
-    if config.mode == "plain":
-        return _train(task, config, _plain_step)
-    plan_indices = {i for b in config.plan.blocks for i in b} | set(config.plan.nonsplit)
-    if not plan_indices.issubset(range(task.param_dim)):
-        raise ValueError("split plan indexes parameters outside the task")
-    return _train(task, config, _split_step)
+    if config.mode == "model_split":
+        plan_indices = {i for b in config.plan.blocks for i in b} | set(config.plan.nonsplit)
+        if not plan_indices.issubset(range(task.param_dim)):
+            raise ValueError("split plan indexes parameters outside the task")
+    step = _split_step if config.mode == "model_split" else _plain_step
+    return _train(task, config, step, np.zeros(task.param_dim))
 
 
 def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=None) -> SimTrace:
@@ -473,12 +455,15 @@ def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=N
     For every sample and every dropped hidden unit, the gradients of all
     incoming and outgoing weights of that unit must be exactly zero; the
     run counts violations (zero on a correct run).  ``forced_mask``
-    replaces the random mask everywhere (for structural tests).
+    replaces the random mask everywhere (for structural tests).  The run
+    starts from a seeded N(0, 1/in_dim) draw, not w = 0, where every
+    gradient of the task vanishes.
     """
     if config.mode != "dropout":
         raise ValueError("config.mode must be 'dropout'")
     incidence = np.array([np.isin(np.arange(task.param_dim), task.incident_indices(u)) for u in range(task.hidden_dim)])
-    return _train(task, config, partial(_dropout_step, incidence=incidence, forced_mask=forced_mask))
+    start = stream(config.seed, "init").standard_normal(task.param_dim) / np.sqrt(task.in_dim)
+    return _train(task, config, partial(_dropout_step, incidence=incidence, forced_mask=forced_mask), start)
 
 
 def report_privacy(config: SimConfig) -> PrivacyReport:

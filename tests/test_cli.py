@@ -321,6 +321,22 @@ class TestConfigFile:
         assert dropped not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{tmp}/missing.json", "epsilon", "--mech", "gaussian", "--delta", "1e-5"],
+        ["curve", "--gaussian", "c=1,sigma=1", "--out", "{tmp}/missing/x.csv"],
+        ["simulate", "--T", "2", "--n", "4", "--m", "3", "--out-dir", "{tmp}/file/run"],
+    ],
+    ids=["config", "curve-out", "simulate-out-dir"],
+)
+def test_unusable_file_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    code, _, err = run(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ")
+
+
 def _load_golden_recorder():
     import importlib.util
 

@@ -9,6 +9,7 @@ from amplify_acct.training_sim import (
     HiddenLayerTask,
     SimConfig,
     SplitPlan,
+    SyntheticTask,
     assign_bis_schedule,
     even_split_plan,
     make_hidden_task,
@@ -84,12 +85,13 @@ class TestModelSplitRun:
         task = make_linear_task(30, 9, seed=4)
         plan = even_split_plan(9, 3)
         config = SimConfig(T=1, c=1.0, sigma=0.0, mode="model_split", plan=plan, seed=5)
-        run_model_split_training(task, config)  # sanity: runs clean
-        # Recompute one iteration by hand and check pairwise support.
+        trace = run_model_split_training(task, config)
+        # Rebuild the run's iteration from its own draw and check pairwise support.
+        blocks = stream(5, "assign", 0).integers(3, size=task.n_samples)
+        assert np.bincount(blocks, minlength=3).tolist() == trace.records[0]["assignment_counts"]
         grads = task.per_sample_gradients(np.zeros(9))
         masked = []
-        for i in range(task.n_samples):
-            b = int(stream(5, "assign", 0, i).integers(3))
+        for i, b in enumerate(blocks):
             g = grads[i].copy()
             allowed = np.zeros(9, dtype=bool)
             allowed[list(plan.blocks[b])] = True
@@ -117,24 +119,15 @@ class TestModelSplitRun:
                 task, SimConfig(T=2, c=1.0, sigma=0.0, mode="model_split", plan=SplitPlan(((0, 99),)), seed=0)
             )
 
-    def test_per_iteration_repartition(self):
-        task = make_linear_task(20, 8, seed=6)
-        plan = even_split_plan(8, 4, per_iteration=True)
-        trace = run_model_split_training(
-            task, SimConfig(T=10, c=1.0, sigma=0.0, mode="model_split", plan=plan, seed=2)
-        )
-        assert trace.support_violations == 0
-        assert trace.max_clipped_norm <= 1.0 + 1e-9
-
 
 class TestDropoutRun:
     def test_all_units_dropped_gives_zero_gradients(self):
-        # sigma=1 moves w off 0, where every gradient vanishes anyway, so only
-        # the mask keeps the gradients at zero and the run pure noise.
+        # The run starts off w = 0, where every gradient vanishes anyway, so
+        # only the mask keeps the gradients at zero and the run pure noise.
         task = make_hidden_task(20, 5, 4, seed=1)
         config = SimConfig(T=4, c=1.0, sigma=1.0, mode="dropout", seed=0)
         trace = run_dropout_training(task, config, forced_mask=np.zeros(4))
-        expected = np.zeros(task.param_dim)
+        expected = stream(0, "init").standard_normal(task.param_dim) / np.sqrt(task.in_dim)
         for t in range(config.T):
             noise = stream(0, "noise", t).standard_normal(task.param_dim)
             expected = expected - config.learning_rate * (config.sigma * noise)
@@ -143,23 +136,30 @@ class TestDropoutRun:
         assert trace.zeroing_violations == 0
 
     def test_no_dropout_matches_manual_step(self):
-        # The second iteration steps from the nonzero w the first noise step left.
+        # Both iterations step by hand from the run's seeded nonzero start.
         task = make_hidden_task(10, 4, 3, seed=2)
         config = SimConfig(T=2, c=0.2, sigma=1.0, mode="dropout", seed=0, learning_rate=0.5)
         trace = run_dropout_training(task, config, forced_mask=np.ones(3))
-        w1 = -0.5 * (1.0 * stream(0, "noise", 0).standard_normal(task.param_dim))
-        grads = task.per_sample_gradients(w1, np.arange(task.n_samples), np.ones((task.n_samples, 3)))
-        manual = np.zeros(task.param_dim)
+        expected = stream(0, "init").standard_normal(task.param_dim) / np.sqrt(task.in_dim)
         clipped = 0
-        for g in grads:
-            norm = np.linalg.norm(g)
-            if norm > 0.2:
-                g = g * (0.2 / norm)
-                clipped += 1
-            manual += g
-        assert 0 < clipped < task.n_samples
-        expected = w1 - 0.5 * (manual + 1.0 * stream(0, "noise", 1).standard_normal(task.param_dim))
+        for t in range(config.T):
+            grads = task.per_sample_gradients(expected, np.arange(task.n_samples), np.ones((task.n_samples, 3)))
+            manual = np.zeros(task.param_dim)
+            for g, norm in zip(grads, np.linalg.norm(grads, axis=1)):
+                if norm > 0.2:
+                    g = g * (0.2 / norm)
+                    clipped += 1
+                manual += g
+            expected = expected - 0.5 * (manual + 1.0 * stream(0, "noise", t).standard_normal(task.param_dim))
+        assert 0 < clipped < config.T * task.n_samples
         assert np.array_equal(trace.final_params, expected)
+
+    def test_noiseless_run_moves_from_its_start(self):
+        # w = 0 is a stationary point of the task; the seeded start is not.
+        task = make_hidden_task(40, 6, 4, seed=1)
+        trace = run_dropout_training(task, SimConfig(T=5, c=1.0, sigma=0.0, mode="dropout"))
+        assert trace.records[0]["max_clipped_norm"] > 0.0
+        assert trace.zeroing_violations == 0
 
     def test_random_masks_zero_incident_gradients(self):
         task = make_hidden_task(50, 6, 5, seed=3)
@@ -217,9 +217,16 @@ class TestBisSchedule:
         assert matrix.sum() == 35
 
     def test_rows_independent_of_order(self):
-        full = assign_bis_schedule(10, 6, 2, seed=9)
-        again = assign_bis_schedule(10, 6, 2, seed=9)
-        assert np.array_equal(full, again)
+        # Row i depends only on (seed, i): the first rows ignore how many follow.
+        assert np.array_equal(assign_bis_schedule(10, 6, 2, seed=9)[:4], assign_bis_schedule(4, 6, 2, seed=9))
+
+    def test_rows_are_uniform_subsets(self):
+        # T=5, k=2: each of the C(5,2)=10 subsets takes a 1/10 share of the
+        # rows, within 4 standard errors over 20,000 rows.
+        matrix = assign_bis_schedule(20000, 5, 2, seed=13)
+        subsets, counts = np.unique(matrix, axis=0, return_counts=True)
+        assert len(subsets) == 10 and (subsets.sum(axis=1) == 2).all()
+        assert np.all(np.abs(counts - 2000) <= 4 * math.sqrt(20000 * 0.1 * 0.9))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -243,10 +250,23 @@ class TestSchedulesInRuns:
         expect = 50 * 40 * 0.3
         assert abs(total - expect) <= 3 * math.sqrt(50 * 40 * 0.3 * 0.7)
 
+    def test_draws_do_not_depend_on_later_samples(self):
+        # Samples 4..9 have zero gradients, so the ten-sample run ends where the
+        # four-sample run does only if samples 0..3 draw the same participation
+        # and blocks in every iteration.
+        task = make_linear_task(10, 6, seed=3)
+        zeroed = SyntheticTask(np.where(np.arange(10)[:, None] < 4, task.features, 0.0), task.targets)
+        config = SimConfig(T=8, c=1.0, sigma=0.0, mode="model_split", plan=even_split_plan(6, 3),
+                           schedule="poisson", gamma=0.5, seed=4)
+        full = run_model_split_training(zeroed, config)
+        prefix = run_model_split_training(SyntheticTask(task.features[:4], task.targets[:4]), config)
+        assert np.array_equal(full.final_params, prefix.final_params)
+        assert any(r["participants"] for r in prefix.records)
+
     @pytest.mark.parametrize("mode", ["plain", "model_split", "dropout"])
     def test_iteration_without_participants(self, mode):
-        # At seed 5 the third of four Poisson draws over 3 samples is empty.
-        config = SimConfig(T=4, c=1.0, sigma=1.0, mode=mode, schedule="poisson", gamma=0.3, seed=5,
+        # At seed 164 the third of four Poisson draws over 3 samples is empty.
+        config = SimConfig(T=4, c=1.0, sigma=1.0, mode=mode, schedule="poisson", gamma=0.3, seed=164,
                            plan=even_split_plan(4, 2) if mode == "model_split" else None)
         if mode == "dropout":
             trace = run_dropout_training(make_hidden_task(3, 4, 2, seed=0), config)
