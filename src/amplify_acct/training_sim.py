@@ -391,8 +391,8 @@ def _train(task, config: SimConfig, step, w: np.ndarray) -> SimTrace:
     fields (masking diagnostics; ``support_violations`` is zero by
     construction).  The loop owns participation, clipping by row (row
     norms, scales, max and mean as arrays), the sum in participant order,
-    the noise draw, the update and the record.  Every random draw is one
-    array per (iteration, purpose) over all n samples.
+    the noise draw, the update and the record.  Each random draw covers
+    all n samples at once.
     """
     n, m = task.n_samples, task.param_dim
     bis_matrix = assign_bis_schedule(n, config.T, config.k, config.seed) if config.schedule == "bis" else None
