@@ -122,8 +122,8 @@ class TestModelSplitRun:
 
 class TestDropoutRun:
     def test_all_units_dropped_gives_zero_gradients(self):
-        # The run starts off w = 0, where every gradient vanishes anyway, so
-        # only the mask keeps the gradients at zero and the run pure noise.
+        # The run starts away from w = 0, where every gradient vanishes anyway,
+        # so only the mask keeps the gradients at zero and the run pure noise.
         task = make_hidden_task(20, 5, 4, seed=1)
         config = SimConfig(T=4, c=1.0, sigma=1.0, mode="dropout", seed=0)
         trace = run_dropout_training(task, config, forced_mask=np.zeros(4))
