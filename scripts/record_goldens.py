@@ -9,7 +9,9 @@ stands for a fresh scratch directory.  Each command runs in process through
 ``tests/test_cli.py::test_golden_outputs`` compares a fresh run against them.
 
 Run with the package importable (``PYTHONPATH=src``).  An optional argument
-names another output directory, for byte-comparing two trees:
+names another output directory, for byte-comparing two trees; it gets a
+copy of ``commands.json`` too, so on an unchanged tree
+``diff -r OUT_DIR tests/golden`` prints nothing:
 
     PYTHONPATH=src python3 scripts/record_goldens.py [OUT_DIR]
 """
@@ -60,6 +62,9 @@ def run_command(command: dict) -> dict:
 
 def main() -> None:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else GOLDEN_DIR
+    if os.path.realpath(out_dir) != os.path.realpath(GOLDEN_DIR):
+        os.makedirs(out_dir, exist_ok=True)
+        shutil.copyfile(os.path.join(GOLDEN_DIR, "commands.json"), os.path.join(out_dir, "commands.json"))
     for command in load_commands():
         target = os.path.join(out_dir, command["name"])
         shutil.rmtree(target, ignore_errors=True)

@@ -12,7 +12,8 @@ Subcommands:
 
 Mechanisms come from ``accountant.MECHANISMS``: ``--mech`` takes each
 entry's CLI name and reads its fields from the flags of the same name
-(``--c-split`` for ``c_split``); ``curve`` has one repeatable flag per
+(``--c-split`` for ``c_split``) and refuses the field flags of other
+entries; ``curve`` has one repeatable flag per
 entry (``--poisson`` for ``poisson-gaussian``) taking ``key=value`` pairs
 named after the fields plus ``count``, with ``c`` and ``sigma`` defaulting
 to ``--c`` and ``--sigma``.  A missing, repeated or unknown key exits 2.
@@ -124,13 +125,22 @@ def _build_mechanism(args) -> object:
             f"would release a mixture over both the subsampling draw and the {mech} randomness, "
             "and no divergence bound for that nested mixture is implemented; refusing"
         )
+    params = spec_params(_MECHS[mech])
+    # --c and --sigma always hold a value; every other field flag is None unless set.
+    others = sorted({name for cls in MECHANISMS for name in spec_params(cls)} - set(params) - {"c", "sigma"})
+    stray = [_flag(name) for name in others if getattr(args, name) is not None]
+    if stray:
+        raise CliError(f"{mech} takes no {', '.join(stray)}")
     if rate is not None:
         return PoissonGaussian(c=args.c, sigma=args.sigma, gamma=rate)
-    cls = _MECHS[mech]
-    missing = ["--" + name.replace("_", "-") for name in spec_params(cls) if getattr(args, name) is None]
+    missing = [_flag(name) for name in params if getattr(args, name) is None]
     if missing:
         raise CliError(f"{mech} needs {', '.join(missing)}")
-    return cls(**{name: getattr(args, name) for name in spec_params(cls)})
+    return _MECHS[mech](**{name: getattr(args, name) for name in params})
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _parse_kv(text: str, flag: str) -> dict:

@@ -10,7 +10,8 @@ orders ``alpha >= 2`` this module evaluates:
 * ``forward_bound``          -- overlap-count upper bound on the
                                 mixture-vs-Gaussian divergence, O(k) terms.
 * ``forward_exact_enum``     -- exact divergence of an arbitrary small
-                                mixture by enumerating all index tuples.
+                                mixture, summed over index multisets with
+                                multinomial weights; guarded by n^alpha tuples.
 * ``forward_exact_k1``       -- exact divergence for the one-hot (k=1)
                                 family via a truncated power series,
                                 O(alpha^2 log d) time.
@@ -823,14 +824,18 @@ def reverse_bound(family: MixtureFamily, alpha) -> float:
 
 
 def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
-    """Exact mixture-vs-centered-Gaussian divergence by tuple enumeration.
+    """Exact mixture-vs-centered-Gaussian divergence by multiset enumeration.
 
     (1/(alpha-1)) * log sum over index tuples I in [n]^alpha of
     (prod_i w_{I_i}) * exp( (1/(2 sigma^2)) sum_{i != j} mu_{I_i} . mu_{I_j} ).
 
-    Enumerates all n^alpha tuples (vectorized in chunks); the summation runs
-    in log space.  Raises CostLimitError when n^alpha exceeds
-    ENUM_TUPLE_LIMIT so oracle usage stays deterministic.
+    A term depends only on the multiset of I, so the sum runs over sorted
+    tuples (``combinations_with_replacement``, in row chunks), each weighted
+    by alpha!/prod_v m_v!: log m_v! adds log(j+1) for the entry j places
+    into its run of equal entries.  The summation runs in log space.
+    Raises CostLimitError when n^alpha exceeds ENUM_TUPLE_LIMIT: the guard
+    still counts tuples, not multisets, so the "enum" rules and traced tuple
+    counts are unchanged; widening it is for the forward selector (ROADMAP).
     """
     a = validate_order(alpha)
     keep = mixture.weights > 0
@@ -843,34 +848,26 @@ def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
             f"n^alpha = {n}^{a} = {total_tuples} tuples exceeds the {ENUM_TUPLE_LIMIT} enumeration budget"
         )
     gram = centers @ centers.T
-    gram_diag = np.diag(gram).copy()
     log_w = np.log(weights)
+    log_j = np.log(np.arange(1.0, a + 1.0))  # log(j + 1) for run position j
     inv_two_var = 1.0 / (2.0 * mixture.sigma**2)
-    # Per-tuple cost: the count-matrix quadratic form is O(n^2), summing the
-    # alpha*(alpha-1)/2 gathered Gram pairs is O(alpha^2); pick the cheaper.
-    use_counts = n * n <= a * (a - 1) // 2
 
+    multisets = itertools.combinations_with_replacement(range(n), a)
     chunk_logs = []
-    for start in range(0, total_tuples, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total_tuples)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, a), dtype=np.int64)
-        for pos in range(a):
-            digits[:, pos] = idx % n
-            idx //= n
-        if use_counts:
-            counts = np.zeros((stop - start, n))
-            for pos in range(a):
-                np.add.at(counts, (np.arange(stop - start), digits[:, pos]), 1.0)
-            pair_sum = np.einsum("bi,bi->b", counts @ gram, counts) - counts @ gram_diag
-            log_weight = counts @ log_w
-        else:
-            pair_sum = np.zeros(stop - start)
-            for p in range(a):
-                for q in range(p + 1, a):
-                    pair_sum += gram[digits[:, p], digits[:, q]]
-            pair_sum *= 2.0  # the exponent sums over ordered pairs
-            log_weight = log_w[digits].sum(axis=1)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(multisets, _ENUM_CHUNK))
+        cols = np.fromiter(flat, dtype=np.int64).reshape(-1, a).T
+        if not cols.size:
+            break
+        run_pos = np.zeros_like(cols[0])
+        log_weight = log_w[cols[0]] + math.lgamma(a + 1)
+        pair_sum = np.zeros(cols.shape[1])
+        for p in range(1, a):
+            run_pos = np.where(cols[p] == cols[p - 1], run_pos + 1, 0)
+            log_weight += log_w[cols[p]] - log_j[run_pos]
+            for q in range(p):
+                pair_sum += gram[cols[q], cols[p]]
+        pair_sum *= 2.0  # the exponent sums over ordered pairs
         chunk_logs.append(_logsumexp(inv_two_var * pair_sum + log_weight))
     return max(0.0, float(_logsumexp(chunk_logs)) / (a - 1))
 

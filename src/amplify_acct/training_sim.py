@@ -95,12 +95,24 @@ class SyntheticTask:
         return float(0.5 * np.mean(residual**2))
 
 
-def make_linear_task(n_samples: int, param_dim: int, seed: int, noise: float = 0.1) -> SyntheticTask:
+def _check_sizes(**sizes) -> None:
+    """Raise ValueError naming the first size below 1: such a task is empty."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+
+
+def _regression_data(n_samples: int, in_dim: int, seed: int, noise: float) -> tuple:
+    """Seeded (features, targets) of a noisy linear model."""
     rng = stream(seed, "task")
-    features = rng.standard_normal((n_samples, param_dim)) / np.sqrt(param_dim)
-    truth = rng.standard_normal(param_dim)
-    targets = features @ truth + noise * rng.standard_normal(n_samples)
-    return SyntheticTask(features, targets)
+    features = rng.standard_normal((n_samples, in_dim)) / np.sqrt(in_dim)
+    truth = rng.standard_normal(in_dim)
+    return features, features @ truth + noise * rng.standard_normal(n_samples)
+
+
+def make_linear_task(n_samples: int, param_dim: int, seed: int, noise: float = 0.1) -> SyntheticTask:
+    _check_sizes(n_samples=n_samples, param_dim=param_dim)
+    return SyntheticTask(*_regression_data(n_samples, param_dim, seed, noise))
 
 
 @dataclass(frozen=True)
@@ -156,11 +168,8 @@ class HiddenLayerTask:
 
 
 def make_hidden_task(n_samples: int, in_dim: int, hidden_dim: int, seed: int, noise: float = 0.1) -> HiddenLayerTask:
-    rng = stream(seed, "task")
-    features = rng.standard_normal((n_samples, in_dim)) / np.sqrt(in_dim)
-    truth = rng.standard_normal(in_dim)
-    targets = features @ truth + noise * rng.standard_normal(n_samples)
-    return HiddenLayerTask(features, targets, hidden_dim)
+    _check_sizes(n_samples=n_samples, in_dim=in_dim, hidden_dim=hidden_dim)
+    return HiddenLayerTask(*_regression_data(n_samples, in_dim, seed, noise), hidden_dim)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,28 @@ class TestEpsilon:
         assert code == EXIT_CONFIG
         assert "k must satisfy" in err
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["epsilon", "--mech", "dropout-split", "--d", "7"], "--d"),
+            (["epsilon", "--mech", "gaussian", "--poisson", "0.1", "--gamma", "0.2"], "--gamma"),
+            (["epsilon", "--mech", "bis", "--T", "10", "--k", "4", "--d", "3", "--c-split", "1"], "--c-split, --d"),
+            (["calibrate", "--mech", "model-split", "--d", "3", "--k", "2", "--epsilon", "2"], "--k"),
+        ],
+    )
+    def test_flag_the_mechanism_lacks_exits_2(self, capsys, argv, flags):
+        code, out, err = run(capsys, *argv, "--delta", "1e-5")
+        assert code == EXIT_CONFIG
+        assert f"takes no {flags}" in err
+        assert out == ""
+
+    def test_config_field_the_mechanism_lacks_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": {"d": 7}}))
+        code, _, err = run(capsys, "--config", str(cfg), "epsilon", "--mech", "dropout-split", "--delta", "1e-5")
+        assert code == EXIT_CONFIG
+        assert "dropout-split takes no --d" in err
+
 
 class TestCurve:
     def test_csv_structure_and_order(self, capsys, tmp_path):
@@ -248,6 +270,24 @@ class TestSimulate:
                            "--m", "9", "--out-dir", str(out_dir))
         assert code == EXIT_CONFIG
         assert "no divergence bound for that nested mixture" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["--n", "0"], "n_samples"),
+            (["--m", "0"], "param_dim"),
+            (["--mode", "dropout", "--hidden", "0"], "hidden_dim"),
+            (["--mode", "dropout", "--m", "-1"], "in_dim"),
+        ],
+    )
+    def test_empty_task_exits_2(self, capsys, tmp_path, argv, size):
+        out_dir = tmp_path / "never"
+        code, out, err = run(capsys, "simulate", "--T", "2", *argv, "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert f"{size} must be >= 1" in err
+        assert "Traceback" not in err
+        assert out == ""
         assert not out_dir.exists()
 
     def test_deterministic_outputs(self, capsys, tmp_path):

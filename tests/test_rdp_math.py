@@ -333,10 +333,19 @@ class TestForwardExactEnum:
             weights = rng.random(n)
             weights /= weights.sum()
             sigma = float(rng.uniform(0.6, 2.5))
-            alpha = int(rng.integers(2, 5))
+            alpha = int(rng.integers(2, 7))
             mixture = GenericMixture(centers, weights, sigma)
             expected = naive_enum_forward(centers, weights, sigma, alpha)
             assert forward_exact_enum(mixture, alpha) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [3, 5, 6])
+    def test_repeated_center_and_zero_weight_match_naive(self, alpha):
+        # Two copies of one center and a zero-weight outlier: the multisets
+        # carry runs of 3 or more equal entries, and the outlier must vanish.
+        centers = np.array([[0.8, 0.0], [0.8, 0.0], [0.0, 1.1], [-0.4, 0.5], [2.0, 2.0]])
+        weights = np.array([0.25, 0.15, 0.4, 0.2, 0.0])
+        expected = naive_enum_forward(centers, weights, 0.9, alpha)
+        assert forward_exact_enum(GenericMixture(centers, weights, 0.9), alpha) == pytest.approx(expected, rel=1e-10)
 
     def test_cost_guard_names_tuple_count(self):
         mixture = GenericMixture(np.eye(10), np.full(10, 0.1), 1.0)
@@ -359,7 +368,7 @@ class TestForwardExactK1:
     def test_order2_closed_form(self):
         assert forward_exact_k1(5, 1, 1, 2) == pytest.approx(math.log((E + 4) / 5), rel=1e-12)
 
-    @pytest.mark.parametrize("d,alpha", [(2, 2), (3, 4), (4, 6), (6, 5), (5, 8)])
+    @pytest.mark.parametrize("d,alpha", [(2, 2), (3, 4), (4, 6), (6, 5), (5, 8), (2, 20), (3, 12)])
     def test_matches_enumeration_grid(self, d, alpha):
         for ratio in (0.5, 1.0, 2.0):
             series = forward_exact_k1(d, ratio, 1.0, alpha)

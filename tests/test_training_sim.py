@@ -52,6 +52,22 @@ class TestSplitPlan:
         assert covered == list(range(9))
 
 
+class TestTasks:
+    @pytest.mark.parametrize(
+        "make, sizes, name",
+        [
+            (make_linear_task, (0, 4), "n_samples"),
+            (make_linear_task, (5, 0), "param_dim"),
+            (make_hidden_task, (0, 3, 2), "n_samples"),
+            (make_hidden_task, (5, 0, 2), "in_dim"),
+            (make_hidden_task, (5, 3, 0), "hidden_dim"),
+        ],
+    )
+    def test_empty_task_rejected(self, make, sizes, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            make(*sizes, seed=1)
+
+
 class TestModelSplitRun:
     def test_degenerate_split_matches_plain_bitwise(self):
         task = make_linear_task(24, 6, seed=2)
