@@ -326,6 +326,7 @@ class TestForwardExactEnum:
 
     def test_matches_naive_enumeration(self):
         rng = np.random.default_rng(42)
+        cases = []
         for _ in range(8):
             n = int(rng.integers(1, 5))
             dim = int(rng.integers(1, 4))
@@ -334,18 +335,16 @@ class TestForwardExactEnum:
             weights /= weights.sum()
             sigma = float(rng.uniform(0.6, 2.5))
             alpha = int(rng.integers(2, 7))
-            mixture = GenericMixture(centers, weights, sigma)
-            expected = naive_enum_forward(centers, weights, sigma, alpha)
-            assert forward_exact_enum(mixture, alpha) == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-    @pytest.mark.parametrize("alpha", [3, 5, 6])
-    def test_repeated_center_and_zero_weight_match_naive(self, alpha):
-        # Two copies of one center and a zero-weight outlier: the multisets
-        # carry runs of 3 or more equal entries, and the outlier must vanish.
+            cases.append((centers, weights, sigma, alpha))
+        # Two copies of one center and a zero-weight component: the multisets
+        # carry runs of 3 or more equal entries, and the last center must vanish.
         centers = np.array([[0.8, 0.0], [0.8, 0.0], [0.0, 1.1], [-0.4, 0.5], [2.0, 2.0]])
         weights = np.array([0.25, 0.15, 0.4, 0.2, 0.0])
-        expected = naive_enum_forward(centers, weights, 0.9, alpha)
-        assert forward_exact_enum(GenericMixture(centers, weights, 0.9), alpha) == pytest.approx(expected, rel=1e-10)
+        cases += [(centers, weights, 0.9, alpha) for alpha in (3, 5, 6)]
+        for centers, weights, sigma, alpha in cases:
+            expected = naive_enum_forward(centers, weights, sigma, alpha)
+            got = forward_exact_enum(GenericMixture(centers, weights, sigma), alpha)
+            assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_cost_guard_names_tuple_count(self):
         mixture = GenericMixture(np.eye(10), np.full(10, 0.1), 1.0)
