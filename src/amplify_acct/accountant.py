@@ -37,9 +37,8 @@ from .rdp_math import (
     MixtureFamily,
     epsilon_loose_curve,
     epsilon_tight_curve,
-    forward_exact_k1_curve,
+    forward_exact_k1_curve,  # bound here for perfbench/tests/test_perfbench.py's binding test (ROADMAP item 1)
     poisson_gaussian_curve,
-    reverse_bound_curve,
     validate_order,
 )
 
@@ -235,12 +234,7 @@ def mechanism_label(spec: MechanismSpec) -> str:
 
 def _split_family_curve(family: MixtureFamily, orders, mode: str):
     if mode == "loose":
-        eps = epsilon_loose_curve(family, orders)
-        return eps, ["loose"] * len(eps)
-    if family.k == 1:
-        rev = reverse_bound_curve(family, orders)
-        fwd = forward_exact_k1_curve(family.d, family.c, family.sigma, orders)
-        return np.maximum(fwd, rev), ["tight"] * len(rev)
+        return epsilon_loose_curve(family, orders), ["loose"] * len(orders)
     eps, rules = epsilon_tight_curve(family, orders)
     return eps, ["loose" if rule == "bound" else "tight" for rule in rules]
 

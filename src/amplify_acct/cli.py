@@ -78,12 +78,14 @@ from .accountant import (
 )
 from .oracles import (
     McSpec,
+    forward_exact_value,
     grid_spec,
     verify_dim_reduction,
     verify_offset_identity,
     verify_sandwich,
 )
-from .rdp_math import MixtureFamily, family_mixture, forward_bound, forward_exact_enum, forward_exact_k1, validate_order
+# forward_exact_enum: bound here for perfbench/tests/test_perfbench.py's binding test (ROADMAP item 1)
+from .rdp_math import MixtureFamily, family_mixture, forward_bound, forward_exact_enum, validate_order
 from .training_sim import (
     SimConfig,
     even_split_plan,
@@ -288,12 +290,6 @@ def _default_verify_grid():
     return [MixtureFamily(d=d, k=k, c=ratio, sigma=1.0) for d in (2, 3, 4) for k in (1, 2) for ratio in (0.5, 1.0, 2.0)]
 
 
-def _forward_exact(family: MixtureFamily, alpha: int) -> float:
-    if family.k == 1:
-        return forward_exact_k1(family.d, family.c, family.sigma, alpha)
-    return forward_exact_enum(family_mixture(family), alpha)
-
-
 _CHECKS = ("sandwich", "offset", "dimred", "alpha2")
 # Report fields the verify records leave out: the family is spread into its
 # own keys, and the tolerances and combined stderr stay internal.
@@ -325,7 +321,7 @@ def cmd_verify(args) -> int:
                 records.append(_record("offset-identity", family, verify_offset_identity(family, alpha, quad, mc)))
         if "alpha2" in checks:
             # Order 2 whatever the --alpha list: one record per family.
-            exact2 = _forward_exact(family, 2)
+            exact2 = forward_exact_value(family, 2)
             bound2 = forward_bound(family, 2)
             ok = abs(exact2 - bound2) <= 1e-9 * max(1.0, abs(bound2))
             fields = {"alpha": 2, "forward_exact": exact2, "forward_bound": bound2, "ok": ok}

@@ -30,14 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rdp_math import (
+    CostLimitError,
     GenericMixture,
     MixtureFamily,
     _logsumexp,
     epsilon_loose,
     family_mixture,
     forward_bound,
-    forward_exact_enum,
-    forward_exact_k1,
+    forward_exact,
+    forward_exact_enum,  # bound here for perfbench/tests/test_perfbench.py's binding test (ROADMAP item 1)
     gaussian_rdp,
     reverse_bound,
     validate_order,
@@ -50,6 +51,7 @@ __all__ = [
     "OffsetIdentityReport",
     "QuadratureSpec",
     "SandwichReport",
+    "forward_exact_value",
     "grid_spec",
     "mc_renyi",
     "mixture_logpdf",
@@ -263,6 +265,14 @@ def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec |
     return McEstimate(estimate, stderr, n, spec.proposal, low_confidence)
 
 
+def forward_exact_value(family: MixtureFamily, alpha) -> float:
+    """``rdp_math.forward_exact`` at one order; CostLimitError where it is only a bound."""
+    (value,), (rule,) = forward_exact(family, [alpha])
+    if rule == "bound":
+        raise CostLimitError(f"no exact forward path for {family} at order {alpha} fits the enumeration budget")
+    return float(value)
+
+
 def _oracle_divergence(m_num, m_den, alpha, quad_spec, mc_spec, proposal):
     """Quadrature when the grid allows it, Monte Carlo otherwise."""
     if m_num.dim <= quad_spec.max_dim_grid:
@@ -315,8 +325,9 @@ def verify_sandwich(
 ) -> SandwichReport:
     """Check oracle <= exact forward <= forward bound and the reverse side.
 
-    Small instances only (d <= 4 and at most 6 mixture centers).  Failures
-    are recorded in the report, never raised.
+    Small instances only (d <= 4, at most 6 mixture centers, an order with an
+    exact forward path; else an error before any oracle runs).  Failures are
+    recorded in the report, never raised.
     """
     a = validate_order(alpha)
     quad_spec = quad_spec or QuadratureSpec()
@@ -324,15 +335,12 @@ def verify_sandwich(
     if family.d > 4 or math.comb(family.d, family.k) > 6:
         raise ValueError("sandwich verification is limited to d <= 4 with at most 6 centers")
 
+    fwd_exact = forward_exact_value(family, a)
     mixture = family_mixture(family)
     origin = point_mixture(np.zeros(family.d), family.sigma)
     fwd_oracle, fwd_se = _oracle_divergence(mixture, origin, a, quad_spec, mc_spec, "denominator")
     rev_oracle, rev_se = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec, "numerator")
 
-    if family.k == 1:
-        fwd_exact = forward_exact_k1(family.d, family.c, family.sigma, a)
-    else:
-        fwd_exact = forward_exact_enum(mixture, a)
     fwd_bound = forward_bound(family, a)
     rev_bound = reverse_bound(family, a)
     tight = max(fwd_exact, rev_bound)

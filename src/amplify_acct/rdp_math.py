@@ -26,8 +26,10 @@ orders ``alpha >= 2`` this module evaluates:
 * ``poisson_gaussian_curve`` -- per-iteration Poisson-subsampled Gaussian.
 * ``forward_poisson_cap_curve`` -- d-fold Poisson curve at rate k/d, an
                                 upper bound on the k-hot forward divergence.
-* ``epsilon_tight``          -- max(exact forward, reverse bound), with the
-                                forward path chosen per cost guards
+* ``forward_exact``          -- the one forward-path selector: per order the
+                                k=1 series, enumeration within the n^alpha
+                                guard, or the capped bound, and which ran.
+* ``epsilon_tight``          -- max(``forward_exact``, reverse bound)
                                 (``epsilon_tight_curve`` for many orders).
 * ``epsilon_loose``          -- max(forward bound, reverse bound); for k>=2
                                 the forward bound is capped by the Poisson
@@ -65,6 +67,7 @@ __all__ = [
     "family_mixture",
     "forward_bound",
     "forward_bound_curve",
+    "forward_exact",
     "forward_exact_enum",
     "forward_exact_k1",
     "forward_exact_k1_curve",
@@ -833,9 +836,9 @@ def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
     tuples (``combinations_with_replacement``, in row chunks), each weighted
     by alpha!/prod_v m_v!: log m_v! adds log(j+1) for the entry j places
     into its run of equal entries.  The summation runs in log space.
-    Raises CostLimitError when n^alpha exceeds ENUM_TUPLE_LIMIT: the guard
-    still counts tuples, not multisets, so the "enum" rules and traced tuple
-    counts are unchanged; widening it is for the forward selector (ROADMAP).
+    Raises CostLimitError when n^alpha exceeds ENUM_TUPLE_LIMIT, the guard
+    ``forward_exact`` applies to C(d,k)^alpha before it enumerates; it counts
+    tuples, not multisets (ROADMAP item 2 weighs widening it).
     """
     a = validate_order(alpha)
     keep = mixture.weights > 0
@@ -950,12 +953,7 @@ def epsilon_loose(family: MixtureFamily, alpha) -> float:
 
 @dataclass(frozen=True)
 class TightEpsilon:
-    """epsilon_tight value plus which forward path produced it.
-
-    forward_rule is one of "k1-series" (exact, one-hot fast path),
-    "enum" (exact tuple enumeration) or "bound" (degraded to the forward
-    bound of ``epsilon_loose`` because no exact path fit the budget).
-    """
+    """epsilon_tight value plus the ``forward_exact`` rule that produced it."""
 
     epsilon: float
     forward_rule: str
@@ -965,39 +963,42 @@ class TightEpsilon:
         return self.forward_rule != "bound"
 
 
-def _enum_rules(d: int, k: int, orders) -> tuple:
-    """Per order, "enum" when C(d,k)^alpha <= ENUM_TUPLE_LIMIT, else "bound"."""
+def forward_exact(family: MixtureFamily, orders):
+    """The forward-path selector: (forward divergences, rules) per order.
+
+    Rule "k1-series" when k == 1 (exact, ``forward_exact_k1_curve``), "enum"
+    when C(d,k)^alpha fits ENUM_TUPLE_LIMIT (exact, ``forward_exact_enum``),
+    else "bound" (``_forward_fallback_curve``, an upper bound only).
+    """
+    a_list = [validate_order(a) for a in orders]
+    if family.k == 1:
+        return forward_exact_k1_curve(family.d, family.c, family.sigma, a_list), ("k1-series",) * len(a_list)
     # Log-space estimate first: avoids huge exact binomials for large d.
-    log_n = float(log_comb(d, k))
-    fits = [a * log_n <= math.log(ENUM_TUPLE_LIMIT) + 1e-9 for a in orders]
-    n = math.comb(d, k) if any(fits) else 0
-    return tuple("enum" if ok and n**a <= ENUM_TUPLE_LIMIT else "bound" for a, ok in zip(orders, fits))
+    log_n = float(log_comb(family.d, family.k))
+    fits = [a * log_n <= math.log(ENUM_TUPLE_LIMIT) + 1e-9 for a in a_list]
+    n = math.comb(family.d, family.k) if any(fits) else 0
+    rules = tuple("enum" if ok and n**a <= ENUM_TUPLE_LIMIT else "bound" for a, ok in zip(a_list, fits))
+    fwd = np.empty(len(a_list))
+    bound = [i for i, rule in enumerate(rules) if rule == "bound"]
+    enum = [i for i, rule in enumerate(rules) if rule == "enum"]
+    if bound:
+        fwd[bound] = _forward_fallback_curve(family, [a_list[i] for i in bound])
+    if enum:
+        mixture = family_mixture(family)
+        fwd[enum] = [forward_exact_enum(mixture, a_list[i]) for i in enum]
+    return fwd, rules
 
 
 def epsilon_tight_curve(family: MixtureFamily, orders):
-    """max(exact forward divergence, reverse bound) per order, with forward rules.
+    """(max(``forward_exact``, reverse bound), forward rules) per order.
 
-    The forward path is the k=1 series when k == 1, tuple enumeration when
-    C(d,k)^alpha fits the budget, and otherwise the forward bound of
-    ``epsilon_loose_curve`` (rule "bound"), so a valid upper bound is always
-    returned.  Never exceeds epsilon_loose beyond float rounding.  Returns
-    (epsilons, forward rules).
+    The reverse side runs first.  Rule "bound" uses the forward bound of
+    ``epsilon_loose_curve``, so the result never exceeds epsilon_loose beyond
+    float rounding and is always a valid upper bound.
     """
     a_list = [validate_order(a) for a in orders]
     rev = reverse_bound_curve(family, a_list)
-    if family.k == 1:
-        fwd = forward_exact_k1_curve(family.d, family.c, family.sigma, a_list)
-        return np.maximum(fwd, rev), ("k1-series",) * len(a_list)
-    rules = _enum_rules(family.d, family.k, a_list)
-    fwd = np.empty(len(a_list))
-    degraded = [i for i, rule in enumerate(rules) if rule == "bound"]
-    if degraded:
-        fwd[degraded] = _forward_fallback_curve(family, [a_list[i] for i in degraded])
-    if len(degraded) < len(a_list):
-        mixture = family_mixture(family)
-        for i, rule in enumerate(rules):
-            if rule == "enum":
-                fwd[i] = forward_exact_enum(mixture, a_list[i])
+    fwd, rules = forward_exact(family, a_list)
     return np.maximum(fwd, rev), rules
 
 
