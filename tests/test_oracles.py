@@ -15,6 +15,7 @@ from amplify_acct.oracles import (
     verify_sandwich,
 )
 from amplify_acct.rdp_math import (
+    CostLimitError,
     GenericMixture,
     MixtureFamily,
     family_mixture,
@@ -177,6 +178,12 @@ class TestVerifySandwich:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             verify_sandwich(MixtureFamily(5, 1, 1.0, 1.0), 2)
+
+    def test_order_beyond_the_enumeration_budget_refused(self):
+        # 6^9 tuples exceed ENUM_TUPLE_LIMIT: only a forward bound exists, and
+        # it must not be reported as the exact value.
+        with pytest.raises(CostLimitError, match="no exact forward path"):
+            verify_sandwich(MixtureFamily(4, 2, 1.0, 1.0), 9)
 
     def test_six_center_cell_runs(self):
         report = verify_sandwich(MixtureFamily(4, 2, 1.0, 1.0), 2, mc_spec=SMALL_MC)

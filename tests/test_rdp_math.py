@@ -13,6 +13,7 @@ from amplify_acct.rdp_math import (
     epsilon_tight,
     family_mixture,
     forward_bound,
+    forward_exact,
     forward_exact_enum,
     forward_exact_k1,
     forward_poisson_cap_curve,
@@ -25,7 +26,7 @@ from amplify_acct.rdp_math import (
     reverse_bound_paper,
     validate_order,
 )
-from amplify_acct.rdp_math import _TwoHotReverse, _logsumexp, forward_exact_k1_curve
+from amplify_acct.rdp_math import _forward_fallback_curve, _TwoHotReverse, _logsumexp, forward_exact_k1_curve
 
 E = math.e
 
@@ -469,6 +470,23 @@ class TestLogKernels:
             # A difference of log-gammas: its error scales with lgamma(n + 1).
             assert log_comb(n, k) == pytest.approx(expected, rel=0, abs=1e-14 * math.lgamma(n + 1) + 1e-15)
         assert log_comb(3, 5) == -np.inf  # k > n: Gamma has a pole at n - k + 1
+
+
+class TestForwardExactSelector:
+    def test_enum_within_the_tuple_budget_then_bound(self):
+        # C(5,2) = 10 centers: 10^7 tuples fit ENUM_TUPLE_LIMIT, 10^8 do not.
+        family = MixtureFamily(5, 2, 1.0, 2.0)
+        values, rules = forward_exact(family, range(2, 10))
+        assert rules == ("enum",) * 6 + ("bound",) * 2
+        mixture = family_mixture(family)
+        for alpha, value in zip(range(2, 8), values[:6]):
+            assert value == forward_exact_enum(mixture, alpha)
+        assert values[6:].tolist() == _forward_fallback_curve(family, [8, 9]).tolist()
+
+    def test_one_hot_family_takes_the_series(self):
+        values, rules = forward_exact(MixtureFamily(7, 1, 1.3, 0.9), [2, 5, 40])
+        assert rules == ("k1-series",) * 3
+        assert values.tolist() == forward_exact_k1_curve(7, 1.3, 0.9, [2, 5, 40]).tolist()
 
 
 class TestEpsilonTightLoose:
