@@ -12,14 +12,16 @@ Subcommands:
 
 Mechanisms come from ``accountant.MECHANISMS``: ``--mech`` takes each
 entry's CLI name and reads its fields from the flags of the same name
-(``--c-split`` for ``c_split``) and refuses the field flags of other
-entries; ``curve`` has one repeatable flag per
+(``--c-split`` for ``c_split``; ``--c`` is 1 unless given) and refuses
+the field flags of other entries; ``curve`` has one repeatable flag per
 entry (``--poisson`` for ``poisson-gaussian``) taking ``key=value`` pairs
 named after the fields plus ``count``, with ``c`` and ``sigma`` defaulting
 to ``--c`` and ``--sigma``.  A missing, repeated or unknown key exits 2.
 A new table entry appears here with no code change (a new field name
 also needs its flag in ``_add_mech_flags``).  The only special case is
-``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.
+``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.  ``simulate``
+refuses ``--gamma``, ``--k`` and ``--d`` where its schedule or mode does not
+use them.
 
 A JSON config file (``--config``) holds one object per command name;
 explicit flags override config values (a repeatable flag replaces the
@@ -128,11 +130,13 @@ def _build_mechanism(args) -> object:
             "and no divergence bound for that nested mixture is implemented; refusing"
         )
     params = spec_params(_MECHS[mech])
-    # --c and --sigma always hold a value; every other field flag is None unless set.
-    others = sorted({name for cls in MECHANISMS for name in spec_params(cls)} - set(params) - {"c", "sigma"})
+    # --sigma always holds a value; every other field flag is None unless set.
+    others = sorted({name for cls in MECHANISMS for name in spec_params(cls)} - set(params) - {"sigma"})
     stray = [_flag(name) for name in others if getattr(args, name) is not None]
     if stray:
         raise CliError(f"{mech} takes no {', '.join(stray)}")
+    if "c" in params and args.c is None:
+        args.c = 1.0  # the default clipping norm, filled in before the config is echoed
     if rate is not None:
         return PoissonGaussian(c=args.c, sigma=args.sigma, gamma=rate)
     missing = [_flag(name) for name in params if getattr(args, name) is None]
@@ -345,6 +349,10 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     mode = args.mode.replace("-", "_")
+    unused = {"gamma": args.schedule != "poisson", "k": args.schedule != "bis", "d": mode != "model_split"}
+    stray = [_flag(name) for name, off in unused.items() if off and getattr(args, name) is not None]
+    if stray:
+        raise CliError(f"simulate --mode {args.mode} --schedule {args.schedule} takes no {', '.join(stray)}")
     try:
         plan = None
         if mode == "model_split":
@@ -404,7 +412,7 @@ def cmd_simulate(args) -> int:
 
 def _add_mech_flags(parser) -> None:
     parser.add_argument("--mech", required=True, choices=tuple(_MECHS))
-    parser.add_argument("--c", type=float, default=1.0, help="clipping norm (default 1)")
+    parser.add_argument("--c", type=float, default=None, help="clipping norm (default 1 where the mechanism has one)")
     parser.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
     parser.add_argument("--gamma", type=float, default=None, help="poisson-gaussian sampling rate")
     parser.add_argument("--d", type=int, default=None, help="submodel count")

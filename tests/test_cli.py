@@ -76,6 +76,8 @@ class TestEpsilon:
             (["epsilon", "--mech", "gaussian", "--poisson", "0.1", "--gamma", "0.2"], "--gamma"),
             (["epsilon", "--mech", "bis", "--T", "10", "--k", "4", "--d", "3", "--c-split", "1"], "--c-split, --d"),
             (["calibrate", "--mech", "model-split", "--d", "3", "--k", "2", "--epsilon", "2"], "--k"),
+            (["epsilon", "--mech", "partial-split", "--d", "3", "--c-split", "1", "--c-nonsplit", "0.5", "--c", "5"],
+             "--c"),
         ],
     )
     def test_flag_the_mechanism_lacks_exits_2(self, capsys, argv, flags):
@@ -227,6 +229,14 @@ class TestVerify:
         assert record["ok_reverse_below_bound"] is False
         assert record["forward_matches_exact"] is True
 
+    @pytest.mark.parametrize("family", ["d=30,k=3", "d=100,k=5"])
+    def test_alpha2_beyond_the_enumeration_budget_exits_2(self, capsys, family):
+        # Only a forward bound exists here; it must not be reported as exact.
+        code, out, err = run(capsys, "verify", "--family", family, "--checks", "alpha2")
+        assert code == EXIT_CONFIG
+        assert "no exact forward path" in err
+        assert out == ""
+
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--checks", "sandwich,zigzag")
         assert code == EXIT_CONFIG
@@ -287,6 +297,22 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert f"{size} must be >= 1" in err
         assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--gamma", "0.3"], "--gamma"),
+            (["--schedule", "poisson", "--gamma", "0.3", "--k", "2"], "--k"),
+            (["--mode", "dropout", "--d", "2"], "--d"),
+        ],
+    )
+    def test_flag_the_mode_or_schedule_lacks_exits_2(self, capsys, tmp_path, argv, flag):
+        out_dir = tmp_path / "never"
+        code, out, err = run(capsys, "simulate", "--T", "3", "--n", "8", *argv, "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert f"takes no {flag}" in err
         assert out == ""
         assert not out_dir.exists()
 
