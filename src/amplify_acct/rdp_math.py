@@ -996,9 +996,8 @@ def epsilon_tight_curve(family: MixtureFamily, orders):
     ``epsilon_loose_curve``, so the result never exceeds epsilon_loose beyond
     float rounding and is always a valid upper bound.
     """
-    a_list = [validate_order(a) for a in orders]
-    rev = reverse_bound_curve(family, a_list)
-    fwd, rules = forward_exact(family, a_list)
+    rev = reverse_bound_curve(family, orders)
+    fwd, rules = forward_exact(family, orders)
     return np.maximum(fwd, rev), rules
 
 
