@@ -297,6 +297,8 @@ def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -
     per-order provenance rather than as failures.
     """
     orders = tuple(validate_order(a) for a in orders)
+    if not orders:
+        raise ValueError("curve must contain at least one order")
     if mode not in ("tight", "loose"):
         raise ValueError(f"mode must be 'tight' or 'loose', got {mode!r}")
     eps, prov = spec._curve(orders, mode)
@@ -365,6 +367,12 @@ class CalibrationResult:
     bracket_hi: float
 
 
+# Bisection stops within this relative distance below the target, or after
+# this many rounds.
+_CALIBRATION_REL_TOL = 1e-4
+_CALIBRATION_MAX_ITER = 200
+
+
 def _clip_scale(spec: MechanismSpec) -> float:
     if isinstance(spec, PartialSplit):
         return max(spec.c_split, spec.c_nonsplit)
@@ -378,16 +386,14 @@ def calibrate_sigma(
     delta: float,
     orders=DEFAULT_ORDERS,
     mode: str = "tight",
-    rel_tol: float = 1e-4,
-    max_iter: int = 200,
 ) -> CalibrationResult:
     """Bisection for the noise meeting a (target_epsilon, delta) goal.
 
     ``template``'s sigma field is ignored and replaced by the probe value;
     ``count`` sequential runs are accounted.  Searches sigma in
     [1e-3 c, 1e3 c] (c = the template's clipping scale), stopping when the
-    achieved epsilon is within rel_tol of the target or after max_iter
-    rounds; the result always satisfies achieved <= target.
+    achieved epsilon is within _CALIBRATION_REL_TOL of the target or after
+    _CALIBRATION_MAX_ITER rounds; the result always satisfies achieved <= target.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -409,13 +415,13 @@ def calibrate_sigma(
             f"epsilon({lo:g}) = {eps_lo:g}, epsilon({hi:g}) = {eps_hi:g}"
         )
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_CALIBRATION_MAX_ITER):
         iterations += 1
         mid = 0.5 * (lo + hi)
         eps_mid = achieved(mid)
         if eps_mid <= target_epsilon:
             hi, eps_hi = mid, eps_mid
-            if target_epsilon - eps_mid <= rel_tol * target_epsilon:
+            if target_epsilon - eps_mid <= _CALIBRATION_REL_TOL * target_epsilon:
                 break
         else:
             lo = mid

@@ -49,7 +49,8 @@ bracket endpoints, mechanism label, config, version.
 followed by one JSON record per check: ``check`` (sandwich /
 offset-identity / alpha2-tightness / dim-reduction), the family fields
 (d, k, c, sigma), alpha, the computed quantities, and ``ok``; failing
-records are reprinted after a ``#`` summary line.
+records are reprinted after a ``#`` summary line.  A run that would yield
+no check record (every family too large for the requested checks) exits 2.
 
 ``simulate`` writes ``trace.jsonl`` (one record per iteration: iteration,
 participants, assignment_counts, max/mean clipped norm, noise_norm, loss,
@@ -295,6 +296,8 @@ def _default_verify_grid():
 
 
 _CHECKS = ("sandwich", "offset", "dimred", "alpha2")
+# Largest family d these checks run on; other families skip them.
+_CHECK_MAX_D = {"offset": 4, "dimred": 2}
 # Report fields the verify records leave out: the family is spread into its
 # own keys, and the tolerances and combined stderr stay internal.
 _REPORT_SKIP = ("family", "tol_forward", "tol_reverse", "stderr")
@@ -307,7 +310,7 @@ def _record(check: str, family: MixtureFamily, rep) -> dict:
 
 
 def cmd_verify(args) -> int:
-    checks = args.checks.split(",") if args.checks else list(_CHECKS)
+    checks = args.checks.split(",") if args.checks is not None else list(_CHECKS)
     for name in checks:
         if name not in _CHECKS:
             raise CliError(f"unknown check {name!r}")
@@ -321,7 +324,7 @@ def cmd_verify(args) -> int:
         for alpha in alphas:
             if "sandwich" in checks:
                 records.append(_record("sandwich", family, verify_sandwich(family, alpha, quad, mc)))
-            if "offset" in checks and family.d <= 4:
+            if "offset" in checks and family.d <= _CHECK_MAX_D["offset"]:
                 records.append(_record("offset-identity", family, verify_offset_identity(family, alpha, quad, mc)))
         if "alpha2" in checks:
             # Order 2 whatever the --alpha list: one record per family.
@@ -330,11 +333,14 @@ def cmd_verify(args) -> int:
             ok = abs(exact2 - bound2) <= 1e-9 * max(1.0, abs(bound2))
             fields = {"alpha": 2, "forward_exact": exact2, "forward_bound": bound2, "ok": ok}
             records.append({"check": "alpha2-tightness", **dataclasses.asdict(family), **fields})
-        if "dimred" in checks and family.d <= 2:
+        if "dimred" in checks and family.d <= _CHECK_MAX_D["dimred"]:
             centers = family_mixture(family).centers
             for alpha in alphas:
                 records.append(_record("dim-reduction", family, verify_dim_reduction(centers, family.sigma, alpha)))
 
+    if not records:
+        limits = ", ".join(f"{name} d <= {_CHECK_MAX_D[name]}" for name in _CHECK_MAX_D if name in checks)
+        raise CliError(f"no family fits the requested checks {','.join(checks)} ({limits}); nothing was checked")
     failures = [record for record in records if not record["ok"]]
     meta = {"record": "meta", "tool": "amplify-acct", "version": __version__, "config": _resolved_config(args)}
     lines = [json.dumps(meta, sort_keys=True)] + [json.dumps(r, sort_keys=True) for r in records]
@@ -365,7 +371,6 @@ def cmd_simulate(args) -> int:
             sigma=args.sigma,
             mode=mode,
             plan=plan,
-            dropout_rate=args.rate,
             schedule=args.schedule,
             k=args.k,
             gamma=args.gamma,
@@ -472,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--d", type=int, default=None)
     p_sim.add_argument("--nonsplit", type=int, default=0, help="trailing non-split parameters")
-    p_sim.add_argument("--rate", type=float, default=0.5, help="dropout rate (must be 0.5)")
     p_sim.add_argument("--schedule", choices=("all", "bis", "poisson"), default="all")
     p_sim.add_argument("--k", type=int, default=None)
     p_sim.add_argument("--gamma", type=float, default=None)

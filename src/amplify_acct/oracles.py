@@ -436,19 +436,17 @@ class DimReductionReport:
     ok: bool
 
 
-def verify_dim_reduction(
-    centers_lowdim,
-    sigma: float,
-    alpha,
-    quad_spec: QuadratureSpec | None = None,
-    tol: float = 2e-4,
-) -> DimReductionReport:
+_DIM_REDUCTION_TOL = 2e-4
+
+
+def verify_dim_reduction(centers_lowdim, sigma: float, alpha) -> DimReductionReport:
+    """Reverse divergence to the centers' mixture, unpadded vs padded, on ``grid_spec`` grids."""
     a = validate_order(alpha)
     centers = np.atleast_2d(np.asarray(centers_lowdim, dtype=float))
     low_dim = centers.shape[1]
     if low_dim + 1 > 3:
         raise ValueError("dimension reduction check is limited to embedded dimension <= 3")
-    quad_spec = quad_spec or grid_spec(low_dim + 1)
+    quad_spec = grid_spec(low_dim + 1)
 
     n = len(centers)
     weights = np.full(n, 1.0 / n)
@@ -462,6 +460,6 @@ def verify_dim_reduction(
         sigma=sigma,
         value_lowdim=value_low,
         value_embedded=value_emb,
-        tol=tol,
-        ok=abs(value_emb - value_low) <= tol,
+        tol=_DIM_REDUCTION_TOL,
+        ok=abs(value_emb - value_low) <= _DIM_REDUCTION_TOL,
     )

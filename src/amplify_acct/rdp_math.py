@@ -12,7 +12,7 @@ orders ``alpha >= 2`` this module evaluates:
 * ``forward_exact_enum``     -- exact divergence of an arbitrary small
                                 mixture, summed over index multisets with
                                 multinomial weights; guarded by n^alpha tuples.
-* ``forward_exact_k1``       -- exact divergence for the one-hot (k=1)
+* ``forward_exact_k1_curve`` -- exact divergence for the one-hot (k=1)
                                 family via a truncated power series,
                                 O(alpha^2 log d) time.
 * ``reverse_bound``          -- upper bound on the Gaussian-vs-mixture
@@ -20,22 +20,19 @@ orders ``alpha >= 2`` this module evaluates:
                                 rounded up for k=1 (a Laplace-transform
                                 integral) and for small two-hot families, a
                                 sum of one-hot blocks otherwise.
-* ``reverse_bound_paper``    -- the paper's closed-form reverse formula, a
-                                labelled reference only: it is below the true
-                                divergence (counterexample in its docstring).
 * ``poisson_gaussian_curve`` -- per-iteration Poisson-subsampled Gaussian.
-* ``forward_poisson_cap_curve`` -- d-fold Poisson curve at rate k/d, an
-                                upper bound on the k-hot forward divergence.
 * ``forward_exact``          -- the one forward-path selector: per order the
                                 k=1 series, enumeration within the n^alpha
-                                guard, or the capped bound, and which ran.
-* ``epsilon_tight``          -- max(``forward_exact``, reverse bound)
-                                (``epsilon_tight_curve`` for many orders).
+                                guard, or the bound capped for k >= 2 by the
+                                d-fold Poisson curve at rate k/d, and which ran.
+* ``epsilon_tight_curve``    -- max(``forward_exact``, reverse bound) per
+                                order (``epsilon_tight`` at one order).
 * ``epsilon_loose``          -- max(forward bound, reverse bound); for k>=2
                                 the forward bound is capped by the Poisson
                                 curve.
-* ``gaussian_rdp_same_mean`` -- equal-mean Gaussians with different
-                                isotropic variances.
+
+The paper's closed-form reverse formula is not an upper bound; it lives
+with its counterexample in the tests (``tests/reference_formulas.py``).
 
 Every sum of exponentials runs in log space (log-gamma binomials from
 ``math.lgamma`` plus a numpy log-sum-exp that takes the largest term out
@@ -55,11 +52,8 @@ import numpy as np
 
 __all__ = [
     "CostLimitError",
-    "DivergenceUndefinedError",
-    "ENUM_TUPLE_LIMIT",
     "GenericMixture",
     "MixtureFamily",
-    "TightEpsilon",
     "epsilon_loose",
     "epsilon_loose_curve",
     "epsilon_tight",
@@ -69,16 +63,11 @@ __all__ = [
     "forward_bound_curve",
     "forward_exact",
     "forward_exact_enum",
-    "forward_exact_k1",
     "forward_exact_k1_curve",
-    "forward_poisson_cap_curve",
     "gaussian_rdp",
-    "gaussian_rdp_same_mean",
-    "log_comb",
     "poisson_gaussian_curve",
     "reverse_bound",
     "reverse_bound_curve",
-    "reverse_bound_paper",
     "validate_order",
 ]
 
@@ -90,10 +79,6 @@ _ENUM_CHUNK = 1 << 17
 
 class CostLimitError(ValueError):
     """Exact enumeration would exceed the tuple budget."""
-
-
-class DivergenceUndefinedError(ValueError):
-    """The Renyi integral diverges for the requested order."""
 
 
 def validate_order(alpha) -> int:
@@ -321,37 +306,6 @@ def _forward_fallback_curve(family: MixtureFamily, orders) -> np.ndarray:
     if family.k >= 2:
         fwd = np.minimum(fwd, forward_poisson_cap_curve(family, orders))
     return fwd
-
-
-def reverse_bound_paper(family: MixtureFamily, alpha) -> float:
-    """The paper's closed-form reverse bound.  REFUTED: kept as a labelled reference.
-
-    alpha c^2 k^2 / (2 sigma^2 d)
-      + (1 / (2(alpha-1))) * log[ exp(alpha c^2 k (d-k) / (sigma^2 d))
-                                  / (alpha e^x + 1 - alpha)^d ]
-    with x = c^2 k (d-k) / (sigma^2 d^2).  The base alpha*e^x + 1 - alpha is
-    evaluated as 1 + alpha*expm1(x): x is often below 1e-6 for large d and
-    the naive form would lose all precision.
-
-    This is *not* an upper bound on the Gaussian-vs-mixture divergence.
-    Counterexample: d=2, k=1, c=sigma=1, alpha=2 gives 0.5501667, while the
-    true divergence is 0.5690426 (grid quadrature, an independent 2-D
-    ``scipy.integrate.dblquad`` and the exact k=1 integral of
-    ``reverse_bound`` agree).  It sits below the truth on 35 of the 54
-    cells of the oracle sweep.  Use ``reverse_bound``.
-    """
-    a = float(validate_order(alpha))
-    d, k, c, sigma = family.d, family.k, family.c, family.sigma
-    if c == 0:
-        return 0.0
-    mean_shift = a * c * c * k * k / (2.0 * sigma * sigma * d)
-    x = c * c * k * (d - k) / (sigma * sigma * d * d)
-    if x < 600.0:
-        log_base = math.log1p(a * math.expm1(x))
-    else:
-        # alpha*e^x dominates; the +1-alpha correction is below float eps.
-        log_base = x + math.log(a)
-    return max(0.0, mean_shift + (a * d * x - d * log_base) / (2.0 * (a - 1.0)))
 
 
 # ------------------------------------------------------------ reverse side
@@ -934,10 +888,6 @@ def forward_exact_k1_curve(d: int, c: float, sigma: float, orders) -> np.ndarray
     return np.maximum(out, 0.0)
 
 
-def forward_exact_k1(d: int, c: float, sigma: float, alpha) -> float:
-    return float(forward_exact_k1_curve(d, c, sigma, [alpha])[0])
-
-
 def epsilon_loose_curve(family: MixtureFamily, orders) -> np.ndarray:
     """max(forward bound, reverse bound) per order.
 
@@ -949,18 +899,6 @@ def epsilon_loose_curve(family: MixtureFamily, orders) -> np.ndarray:
 
 def epsilon_loose(family: MixtureFamily, alpha) -> float:
     return float(epsilon_loose_curve(family, [alpha])[0])
-
-
-@dataclass(frozen=True)
-class TightEpsilon:
-    """epsilon_tight value plus the ``forward_exact`` rule that produced it."""
-
-    epsilon: float
-    forward_rule: str
-
-    @property
-    def exact_forward(self) -> bool:
-        return self.forward_rule != "bound"
 
 
 def forward_exact(family: MixtureFamily, orders):
@@ -1001,33 +939,7 @@ def epsilon_tight_curve(family: MixtureFamily, orders):
     return np.maximum(fwd, rev), rules
 
 
-def epsilon_tight(family: MixtureFamily, alpha) -> TightEpsilon:
-    """``epsilon_tight_curve`` at one order."""
+def epsilon_tight(family: MixtureFamily, alpha) -> tuple[float, str]:
+    """``epsilon_tight_curve`` at one order: (epsilon, forward rule)."""
     eps, rules = epsilon_tight_curve(family, [alpha])
-    return TightEpsilon(float(eps[0]), rules[0])
-
-
-def gaussian_rdp_same_mean(sigma_num: float, sigma_den: float, dim: int, alpha) -> float:
-    """Divergence of two equal-mean isotropic Gaussians.
-
-    (1/(2(alpha-1))) * log( sigma_num^(2 dim (1-alpha)) sigma_den^(2 dim alpha)
-                            / (alpha sigma_den^2 + (1-alpha) sigma_num^2)^dim ).
-
-    Raises DivergenceUndefinedError when the per-coordinate mixture variance
-    alpha sigma_den^2 + (1-alpha) sigma_num^2 is not positive, i.e. the order
-    is too large for the variance ratio.
-    """
-    a = validate_order(alpha)
-    if sigma_num <= 0 or sigma_den <= 0:
-        raise ValueError("sigmas must be positive")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    star = a * sigma_den**2 + (1 - a) * sigma_num**2
-    if star <= 0:
-        raise DivergenceUndefinedError(
-            f"alpha={a} too large for variance ratio: alpha*sigma_den^2 + (1-alpha)*sigma_num^2 = {star}"
-        )
-    val = dim * (2.0 * a * math.log(sigma_den) + 2.0 * (1 - a) * math.log(sigma_num) - math.log(star)) / (
-        2.0 * (a - 1)
-    )
-    return max(0.0, val)
+    return float(eps[0]), rules[0]

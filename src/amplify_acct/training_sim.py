@@ -214,9 +214,9 @@ def even_split_plan(param_dim: int, d: int, nonsplit_count: int = 0) -> SplitPla
 class SimConfig:
     """One simulated training run.
 
-    mode: "plain", "model_split" (needs plan) or "dropout" (rate fixed at
-    0.5, the only rate the accounting covers).  schedule: "all", "bis"
-    (needs k) or "poisson" (needs gamma).
+    mode: "plain", "model_split" (needs plan) or "dropout" (rate 0.5, not
+    settable: 0.5 is the only rate the accounting covers).  schedule: "all",
+    "bis" (needs k) or "poisson" (needs gamma).
     """
 
     T: int
@@ -224,7 +224,6 @@ class SimConfig:
     sigma: float
     mode: str = "plain"
     plan: Optional[SplitPlan] = None
-    dropout_rate: float = 0.5
     schedule: str = "all"
     k: Optional[int] = None
     gamma: Optional[float] = None
@@ -243,8 +242,6 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "model_split" and self.plan is None:
             raise ValueError("model_split mode needs a split plan")
-        if self.mode == "dropout" and self.dropout_rate != 0.5:
-            raise ValueError(f"dropout rate must be exactly 0.5, got {self.dropout_rate}")
         if self.schedule not in ("all", "bis", "poisson"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.schedule == "bis":
@@ -302,8 +299,6 @@ class SimTrace:
     def summary_dict(self) -> dict:
         cfg = {f.name: getattr(self.config, f.name) for f in fields(SimConfig) if f.name != "plan"}
         cfg["d"] = None if self.config.plan is None else self.config.plan.d
-        if self.config.mode != "dropout":
-            cfg["dropout_rate"] = None
         privacy = None
         if self.privacy is not None:
             if self.privacy.refused:

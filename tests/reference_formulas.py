@@ -1,0 +1,76 @@
+"""Reference formulas that only the tests use.
+
+* ``reverse_bound_paper``    -- the paper's closed-form reverse formula.  It
+                                is below the true divergence (counterexample
+                                in its docstring), so the accountant uses
+                                ``rdp_math.reverse_bound``; the tests pin the
+                                counterexample against it.
+* ``gaussian_rdp_same_mean`` -- equal-mean Gaussians with different
+                                isotropic variances, a closed form the
+                                quadrature oracle is checked against.
+"""
+
+import math
+
+from amplify_acct.rdp_math import MixtureFamily, validate_order
+
+
+class DivergenceUndefinedError(ValueError):
+    """The Renyi integral diverges for the requested order."""
+
+
+def reverse_bound_paper(family: MixtureFamily, alpha) -> float:
+    """The paper's closed-form reverse bound.  REFUTED: kept as a labelled reference.
+
+    alpha c^2 k^2 / (2 sigma^2 d)
+      + (1 / (2(alpha-1))) * log[ exp(alpha c^2 k (d-k) / (sigma^2 d))
+                                  / (alpha e^x + 1 - alpha)^d ]
+    with x = c^2 k (d-k) / (sigma^2 d^2).  The base alpha*e^x + 1 - alpha is
+    evaluated as 1 + alpha*expm1(x): x is often below 1e-6 for large d and
+    the naive form would lose all precision.
+
+    This is *not* an upper bound on the Gaussian-vs-mixture divergence.
+    Counterexample: d=2, k=1, c=sigma=1, alpha=2 gives 0.5501667, while the
+    true divergence is 0.5690426 (grid quadrature, an independent 2-D
+    ``scipy.integrate.dblquad`` and the exact k=1 integral of
+    ``reverse_bound`` agree).  It sits below the truth on 35 of the 54
+    cells of the oracle sweep.  Use ``reverse_bound``.
+    """
+    a = float(validate_order(alpha))
+    d, k, c, sigma = family.d, family.k, family.c, family.sigma
+    if c == 0:
+        return 0.0
+    mean_shift = a * c * c * k * k / (2.0 * sigma * sigma * d)
+    x = c * c * k * (d - k) / (sigma * sigma * d * d)
+    if x < 600.0:
+        log_base = math.log1p(a * math.expm1(x))
+    else:
+        # alpha*e^x dominates; the +1-alpha correction is below float eps.
+        log_base = x + math.log(a)
+    return max(0.0, mean_shift + (a * d * x - d * log_base) / (2.0 * (a - 1.0)))
+
+
+def gaussian_rdp_same_mean(sigma_num: float, sigma_den: float, dim: int, alpha) -> float:
+    """Divergence of two equal-mean isotropic Gaussians.
+
+    (1/(2(alpha-1))) * log( sigma_num^(2 dim (1-alpha)) sigma_den^(2 dim alpha)
+                            / (alpha sigma_den^2 + (1-alpha) sigma_num^2)^dim ).
+
+    Raises DivergenceUndefinedError when the per-coordinate mixture variance
+    alpha sigma_den^2 + (1-alpha) sigma_num^2 is not positive, i.e. the order
+    is too large for the variance ratio.
+    """
+    a = validate_order(alpha)
+    if sigma_num <= 0 or sigma_den <= 0:
+        raise ValueError("sigmas must be positive")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    star = a * sigma_den**2 + (1 - a) * sigma_num**2
+    if star <= 0:
+        raise DivergenceUndefinedError(
+            f"alpha={a} too large for variance ratio: alpha*sigma_den^2 + (1-alpha)*sigma_num^2 = {star}"
+        )
+    val = dim * (2.0 * a * math.log(sigma_den) + 2.0 * (1 - a) * math.log(sigma_num) - math.log(star)) / (
+        2.0 * (a - 1)
+    )
+    return max(0.0, val)

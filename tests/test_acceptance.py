@@ -15,9 +15,9 @@ pinned values no valid accountant can produce:
   at every order, and the (epsilon, delta) guarantees within 5%;
 * criterion 6 passes because the shipped reverse side is an upper bound
   (exact to quadrature accuracy and rounded up where it is not a block
-  sum); the paper's reverse formula, kept as
-  ``rdp_math.reverse_bound_paper``, sits below the true reverse divergence
-  on 35 of its 54 cells.
+  sum); the paper's reverse formula, kept for the tests as
+  ``reference_formulas.reverse_bound_paper``, sits below the true reverse
+  divergence on 35 of its 54 cells.
 """
 
 import math
@@ -53,7 +53,7 @@ from amplify_acct.rdp_math import (
     family_mixture,
     forward_bound,
     forward_exact_enum,
-    forward_exact_k1,
+    forward_exact_k1_curve,
     reverse_bound_curve,
 )
 from amplify_acct.training_sim import (
@@ -285,7 +285,7 @@ def test_criterion_08_exact_path_equivalence():
     for d in range(1, 7):
         for alpha in range(2, 7):
             for ratio in (0.5, 1.0, 2.0):
-                series = forward_exact_k1(d, ratio, 1.0, alpha)
+                series = forward_exact_k1_curve(d, ratio, 1.0, [alpha])[0]
                 enum = forward_exact_enum(family_mixture(MixtureFamily(d, 1, ratio, 1.0)), alpha)
                 worst_series = max(worst_series, abs(series - enum) / max(1e-12, abs(enum)))
     worst_order2 = 0.0
@@ -294,7 +294,7 @@ def test_criterion_08_exact_path_equivalence():
             for ratio in (0.5, 1.0, 2.0):
                 family = MixtureFamily(d, k, ratio, 1.0)
                 exact = (
-                    forward_exact_k1(d, ratio, 1.0, 2)
+                    forward_exact_k1_curve(d, ratio, 1.0, [2])[0]
                     if k == 1
                     else forward_exact_enum(family_mixture(family), 2)
                 )

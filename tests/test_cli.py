@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from amplify_acct.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, main
-from amplify_acct.rdp_math import reverse_bound_paper
+from reference_formulas import reverse_bound_paper
 
 
 def test_import_loads_no_scipy():
@@ -94,6 +94,27 @@ class TestEpsilon:
         assert "dropout-split takes no --d" in err
 
 
+# Flags that complete each --mech entry.
+_MECH_ARGS = {
+    "gaussian": [],
+    "poisson-gaussian": ["--gamma", "0.1"],
+    "model-split": ["--d", "3"],
+    "mixture-split": ["--d", "3"],
+    "dropout-split": [],
+    "partial-split": ["--d", "3", "--c-split", "1", "--c-nonsplit", "0.5"],
+    "bis": ["--T", "10", "--k", "4"],
+}
+
+
+@pytest.mark.parametrize("command", [["epsilon"], ["calibrate", "--epsilon", "2"]], ids=["epsilon", "calibrate"])
+@pytest.mark.parametrize("mech", sorted(_MECH_ARGS))
+def test_empty_order_list_exits_2(capsys, mech, command):
+    code, out, err = run(capsys, *command, "--mech", mech, *_MECH_ARGS[mech], "--delta", "1e-5", "--max-order", "1")
+    assert code == EXIT_CONFIG
+    assert err == "error: curve must contain at least one order\n"
+    assert out == ""
+
+
 class TestCurve:
     def test_csv_structure_and_order(self, capsys, tmp_path):
         out_file = tmp_path / "curve.csv"
@@ -174,6 +195,12 @@ class TestCurve:
         assert code == EXIT_CONFIG
         assert "at least one mechanism" in err
 
+    def test_empty_order_list_exits_2(self, capsys):
+        code, out, err = run(capsys, "curve", "--model-split", "d=3", "--max-order", "1")
+        assert code == EXIT_CONFIG
+        assert err == "error: curve must contain at least one order\n"
+        assert out == ""
+
 
 class TestCalibrate:
     def test_round_trip_gaussian(self, capsys):
@@ -242,6 +269,22 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert "zigzag" in err
 
+    def test_empty_check_list_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--checks", "")
+        assert code == EXIT_CONFIG
+        assert "unknown check ''" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "family, check, limit",
+        [("d=3,k=1", "dimred", "dimred d <= 2"), ("d=5,k=1", "offset", "offset d <= 4")],
+    )
+    def test_no_family_fits_the_checks_exits_2(self, capsys, family, check, limit):
+        code, out, err = run(capsys, "verify", "--family", family, "--checks", check)
+        assert code == EXIT_CONFIG
+        assert f"requested checks {check} ({limit})" in err
+        assert out == ""
+
 
 class TestSimulate:
     def test_model_split_run_with_outputs(self, capsys, tmp_path):
@@ -257,11 +300,17 @@ class TestSimulate:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["diagnostics"]["support_violations"] == 0
 
-    def test_dropout_wrong_rate_exits_2(self, capsys):
-        code, _, err = run(capsys, "simulate", "--mode", "dropout", "--T", "4", "--c", "1",
-                           "--sigma", "1", "--rate", "0.4")
+    def test_rate_flag_and_config_key_are_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "simulate", "--mode", "dropout", "--T", "2", "--rate", "0.5")
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --rate" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {"rate": 0.5}}))
+        code, out, err = run(capsys, "--config", str(cfg), "simulate", "--mode", "dropout", "--T", "2")
         assert code == EXIT_CONFIG
-        assert "0.5" in err
+        assert "unknown config key(s) for 'simulate': ['rate']" in err
+        assert out == ""
 
     def test_bis_schedule_row_sums(self, capsys, tmp_path):
         out_dir = tmp_path / "bis"

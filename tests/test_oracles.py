@@ -21,9 +21,8 @@ from amplify_acct.rdp_math import (
     family_mixture,
     forward_exact_enum,
     gaussian_rdp,
-    gaussian_rdp_same_mean,
-    reverse_bound_paper,
 )
+from reference_formulas import gaussian_rdp_same_mean, reverse_bound_paper
 
 E = math.e
 

@@ -24,7 +24,7 @@ from amplify_acct.rdp_math import (
     family_mixture,
     forward_bound,
     forward_exact_enum,
-    forward_exact_k1,
+    forward_exact_k1_curve,
     reverse_bound,
 )
 
@@ -54,7 +54,7 @@ def test_loose_monotone_in_order(family, a1, a2):
 @given(small_families, st.integers(2, 12), st.integers(2, 12))
 def test_tight_monotone_in_order(family, a1, a2):
     lo, hi = sorted((a1, a2))
-    assert epsilon_tight(family, lo).epsilon <= epsilon_tight(family, hi).epsilon + 1e-9
+    assert epsilon_tight(family, lo)[0] <= epsilon_tight(family, hi)[0] + 1e-9
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,7 +86,7 @@ def test_scale_invariance(family, alpha, t):
 def test_exact_forward_below_bound(family, alpha):
     assume(family.k == 1 or math.comb(family.d, family.k) ** alpha <= 10**7)
     exact = (
-        forward_exact_k1(family.d, family.c, family.sigma, alpha)
+        forward_exact_k1_curve(family.d, family.c, family.sigma, [alpha])[0]
         if family.k == 1
         else forward_exact_enum(family_mixture(family), alpha)
     )
@@ -96,14 +96,14 @@ def test_exact_forward_below_bound(family, alpha):
 @settings(max_examples=80, deadline=None)
 @given(small_families, st.integers(2, 8))
 def test_tight_below_loose(family, alpha):
-    assert epsilon_tight(family, alpha).epsilon <= epsilon_loose(family, alpha) + 1e-12
+    assert epsilon_tight(family, alpha)[0] <= epsilon_loose(family, alpha) + 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_families)
 def test_order2_bound_is_exact(family):
     exact = (
-        forward_exact_k1(family.d, family.c, family.sigma, 2)
+        forward_exact_k1_curve(family.d, family.c, family.sigma, [2])[0]
         if family.k == 1
         else forward_exact_enum(family_mixture(family), 2)
     )
@@ -117,7 +117,7 @@ def test_gaussian_reduction_all_paths(d, c, sigma, alpha):
     expected = alpha * c * c / (2 * sigma * sigma)
     assert forward_bound(family, alpha) == pytest.approx(expected, abs=1e-12)
     assert reverse_bound(family, alpha) == pytest.approx(expected, abs=1e-12)
-    assert epsilon_tight(family, alpha).epsilon == pytest.approx(expected, abs=1e-12)
+    assert epsilon_tight(family, alpha)[0] == pytest.approx(expected, abs=1e-12)
     full = MixtureFamily(d, d, c, sigma)
     assert epsilon_loose(full, alpha) == pytest.approx(d * expected, rel=1e-12, abs=1e-12)
 

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from amplify_acct.rdp_math import (
     CostLimitError,
-    DivergenceUndefinedError,
     GenericMixture,
     MixtureFamily,
     epsilon_loose,
@@ -15,18 +16,22 @@ from amplify_acct.rdp_math import (
     forward_bound,
     forward_exact,
     forward_exact_enum,
-    forward_exact_k1,
-    forward_poisson_cap_curve,
     gaussian_rdp,
-    gaussian_rdp_same_mean,
-    log_comb,
     poisson_gaussian_curve,
     reverse_bound,
     reverse_bound_curve,
-    reverse_bound_paper,
     validate_order,
 )
-from amplify_acct.rdp_math import _forward_fallback_curve, _TwoHotReverse, _logsumexp, forward_exact_k1_curve
+from amplify_acct.rdp_math import (
+    _forward_fallback_curve,
+    _logsumexp,
+    _TwoHotReverse,
+    forward_exact_k1_curve,
+    forward_poisson_cap_curve,
+    log_comb,
+)
+from amplify_acct import rdp_math
+from reference_formulas import DivergenceUndefinedError, gaussian_rdp_same_mean, reverse_bound_paper
 
 E = math.e
 
@@ -97,8 +102,9 @@ class TestForwardBound:
 
 
 class TestReverseBound:
-    # The paper's closed form survives as the labelled reference
-    # ``reverse_bound_paper``; these pin its formula and numerics.
+    # The paper's closed form survives as the labelled test-only reference
+    # ``reference_formulas.reverse_bound_paper``; these pin its formula and
+    # numerics.
     def test_closed_form_order2(self):
         expected = 0.5 + 0.5 * math.log(E / (2 * math.exp(0.25) - 1) ** 2)
         assert reverse_bound_paper(MixtureFamily(2, 1, 1, 1), 2) == pytest.approx(expected, rel=1e-12)
@@ -360,23 +366,23 @@ class TestForwardExactEnum:
 
 class TestForwardExactK1:
     def test_single_block_reduces_to_gaussian(self):
-        assert forward_exact_k1(1, 1, 1, 5) == pytest.approx(2.5, abs=1e-12)
+        assert forward_exact_k1_curve(1, 1, 1, [5])[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_matches_enum_small(self):
-        assert forward_exact_k1(2, 1, 1, 3) == pytest.approx(0.5 * math.log((E**3 + 3 * E) / 4), rel=1e-10)
+        assert forward_exact_k1_curve(2, 1, 1, [3])[0] == pytest.approx(0.5 * math.log((E**3 + 3 * E) / 4), rel=1e-10)
 
     def test_order2_closed_form(self):
-        assert forward_exact_k1(5, 1, 1, 2) == pytest.approx(math.log((E + 4) / 5), rel=1e-12)
+        assert forward_exact_k1_curve(5, 1, 1, [2])[0] == pytest.approx(math.log((E + 4) / 5), rel=1e-12)
 
     @pytest.mark.parametrize("d,alpha", [(2, 2), (3, 4), (4, 6), (6, 5), (5, 8), (2, 20), (3, 12)])
     def test_matches_enumeration_grid(self, d, alpha):
         for ratio in (0.5, 1.0, 2.0):
-            series = forward_exact_k1(d, ratio, 1.0, alpha)
+            series = forward_exact_k1_curve(d, ratio, 1.0, [alpha])[0]
             enum = forward_exact_enum(family_mixture(MixtureFamily(d, 1, ratio, 1.0)), alpha)
             assert series == pytest.approx(enum, rel=1e-9)
 
     def test_large_d_high_order_is_cheap_and_finite(self):
-        value = forward_exact_k1(10**6, 1, 1, 100)
+        value = forward_exact_k1_curve(10**6, 1, 1, [100])[0]
         assert math.isfinite(value) and 0 <= value
         # Well below the unamplified Gaussian value.
         assert value < gaussian_rdp(1, 1, 100)
@@ -493,7 +499,7 @@ class TestEpsilonTightLoose:
     def test_degenerate_family_equals_gaussian(self):
         family = MixtureFamily(1, 1, 1, 1)
         assert epsilon_loose(family, 2) == pytest.approx(1.0, abs=1e-12)
-        assert epsilon_tight(family, 2).epsilon == pytest.approx(1.0, abs=1e-12)
+        assert epsilon_tight(family, 2)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_loose_is_max_of_parts(self):
         family = MixtureFamily(2, 1, 1, 1)
@@ -505,36 +511,35 @@ class TestEpsilonTightLoose:
         assert epsilon_loose(MixtureFamily(6, 2, 0.0, 1.0), 9) == 0.0
 
     def test_tight_forward_dominates_reverse_here(self):
-        tight = epsilon_tight(MixtureFamily(2, 1, 1, 1), 3)
-        assert tight.forward_rule == "k1-series"
-        assert tight.epsilon == pytest.approx(0.5 * math.log((E**3 + 3 * E) / 4), rel=1e-10)
+        eps, rule = epsilon_tight(MixtureFamily(2, 1, 1, 1), 3)
+        assert rule == "k1-series"
+        assert eps == pytest.approx(0.5 * math.log((E**3 + 3 * E) / 4), rel=1e-10)
 
     def test_tight_enum_path_for_k2(self):
         family = MixtureFamily(4, 2, 1, 1)
-        tight = epsilon_tight(family, 2)
-        assert tight.forward_rule == "enum"
+        eps, rule = epsilon_tight(family, 2)
+        assert rule == "enum"
         expected_forward = naive_enum_forward(family_mixture(family).centers, [1 / 6] * 6, 1.0, 2)
-        assert tight.epsilon == pytest.approx(max(expected_forward, reverse_bound(family, 2)), rel=1e-10)
+        assert eps == pytest.approx(max(expected_forward, reverse_bound(family, 2)), rel=1e-10)
 
     def test_tight_degrades_to_bound_with_flag(self):
-        tight = epsilon_tight(MixtureFamily(40, 10, 1, 2), 5)
-        assert tight.forward_rule == "bound"
-        assert not tight.exact_forward
-        assert tight.epsilon == pytest.approx(epsilon_loose(MixtureFamily(40, 10, 1, 2), 5), rel=1e-12)
+        eps, rule = epsilon_tight(MixtureFamily(40, 10, 1, 2), 5)
+        assert rule == "bound"
+        assert eps == pytest.approx(epsilon_loose(MixtureFamily(40, 10, 1, 2), 5), rel=1e-12)
 
     @pytest.mark.parametrize("d,k", [(1, 1), (3, 1), (4, 2), (5, 5), (12, 3)])
     def test_tight_never_exceeds_loose(self, d, k):
         for alpha in (2, 3, 7, 40):
             family = MixtureFamily(d, k, 1.3, 0.9)
-            assert epsilon_tight(family, alpha).epsilon <= epsilon_loose(family, alpha) + 1e-12
+            assert epsilon_tight(family, alpha)[0] <= epsilon_loose(family, alpha) + 1e-12
 
     def test_scale_invariance(self):
         base = MixtureFamily(7, 2, 1.0, 0.5)
         scaled = MixtureFamily(7, 2, 13.0, 6.5)
         for alpha in (2, 6, 30):
             assert epsilon_loose(base, alpha) == pytest.approx(epsilon_loose(scaled, alpha), rel=1e-12)
-            assert epsilon_tight(base, alpha).epsilon == pytest.approx(
-                epsilon_tight(scaled, alpha).epsilon, rel=1e-12
+            assert epsilon_tight(base, alpha)[0] == pytest.approx(
+                epsilon_tight(scaled, alpha)[0], rel=1e-12
             )
 
 
@@ -585,3 +590,20 @@ class TestFamilyValidation:
             (2.0, 2.0, 0.0),
         ]
         assert np.allclose(mixture.weights, 1 / 3)
+
+
+def test_every_export_is_used_outside_the_module():
+    # rdp_math exports only names that the rest of the package, scripts/ or
+    # perfbench/ use; a name only tests need stays importable unexported.
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "amplify_acct").glob("*.py") if p.name != "rdp_math.py"]
+    files += [*(root / "scripts").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    text = "\n".join(p.read_text() for p in files)
+    unused = [name for name in rdp_math.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unused == []
+
+
+def test_refuted_formula_and_test_only_names_are_gone():
+    for name in ("forward_exact_k1", "TightEpsilon", "reverse_bound_paper", "gaussian_rdp_same_mean",
+                 "DivergenceUndefinedError"):
+        assert not hasattr(rdp_math, name)

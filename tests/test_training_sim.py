@@ -187,10 +187,6 @@ class TestDropoutRun:
         draws = sum(r["mask_draws"] for r in trace.records)
         assert abs(ones - draws / 2) <= 3 * math.sqrt(draws * 0.25)
 
-    def test_rate_other_than_half_rejected(self):
-        with pytest.raises(ValueError, match="0.5"):
-            SimConfig(T=2, c=1.0, sigma=1.0, mode="dropout", dropout_rate=0.4)
-
     def test_batched_gradients_match_finite_differences(self):
         task = make_hidden_task(12, 4, 3, seed=5)
         rng = np.random.default_rng(0)
