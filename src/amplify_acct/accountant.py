@@ -1,9 +1,9 @@
 """Mechanism-level Renyi-DP accounting.
 
-Builds per-order epsilon curves for the supported mechanisms, composes them
-additively, converts to (epsilon, delta) guarantees, calibrates noise by
-bisection, and compares balanced iteration subsampling against Poisson
-subsampling.
+Builds per-order epsilon curves for the supported mechanisms, composes a
+curve count-fold with ``scale_curve`` (Renyi DP adds per order), converts to
+(epsilon, delta) guarantees, calibrates noise by bisection, and compares
+balanced iteration subsampling against Poisson subsampling.
 
 Curve provenance per order:
 
@@ -13,8 +13,8 @@ Curve provenance per order:
   (either requested explicitly or forced by the enumeration cost guard).
 
 A ``PoissonGaussian`` curve is per iteration; pass the iteration count to
-``compose`` (or the ``count`` arguments elsewhere) to account a full run.  A
-``Bis`` curve already covers all ``T`` iterations jointly.
+``scale_curve`` (or the ``count`` arguments elsewhere) to account a full run.
+A ``Bis`` curve already covers all ``T`` iterations jointly.
 
 Each mechanism is declared once, as one entry of ``MECHANISMS``: a frozen
 spec dataclass with its CLI name and a ``_curve(orders, mode)`` method.
@@ -47,7 +47,6 @@ __all__ = [
     "BisPoissonComparison",
     "CalibrationBracketError",
     "CalibrationResult",
-    "CompositionPlan",
     "DEFAULT_ORDERS",
     "DpGuarantee",
     "DropoutSplit",
@@ -62,7 +61,6 @@ __all__ = [
     "bis_epoch_composition",
     "calibrate_sigma",
     "compare_bis_poisson",
-    "compose",
     "mechanism_label",
     "rdp_curve",
     "scale_curve",
@@ -72,9 +70,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDERS = tuple(range(2, 101))
-
-_PROVENANCE_RANK = {"exact": 0, "tight": 1, "loose": 2}
-
 
 class CalibrationBracketError(ValueError):
     """The sigma bracket does not enclose the calibration target."""
@@ -107,7 +102,7 @@ class Gaussian:
 class PoissonGaussian:
     """Gaussian release where each sample joins independently with rate gamma.
 
-    The curve is per iteration; compose with the iteration count.
+    The curve is per iteration; ``scale_curve`` it by the iteration count.
     """
 
     cli_name = "poisson-gaussian"
@@ -273,22 +268,6 @@ class DpGuarantee:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class CompositionPlan:
-    """Mechanisms to run sequentially, each with a repetition count."""
-
-    items: tuple  # of (MechanismSpec, count)
-
-    def __post_init__(self):
-        items = tuple((spec, int(count)) for spec, count in self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
-            raise ValueError("composition plan must be nonempty")
-        for _, count in items:
-            if count < 1:
-                raise ValueError(f"counts must be >= 1, got {count}")
-
-
 def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -> RdpCurve:
     """Per-order epsilon curve for one mechanism (the spec's ``_curve``).
 
@@ -303,23 +282,6 @@ def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -
         raise ValueError(f"mode must be 'tight' or 'loose', got {mode!r}")
     eps, prov = spec._curve(orders, mode)
     return RdpCurve(orders, eps, tuple(prov))
-
-
-def _merge_provenance(tags) -> str:
-    return max(tags, key=lambda t: _PROVENANCE_RANK[t])
-
-
-def compose(plan: CompositionPlan, orders=DEFAULT_ORDERS, mode: str = "tight") -> RdpCurve:
-    """Pointwise epsilon sum over the plan, weighted by counts."""
-    orders = tuple(validate_order(a) for a in orders)
-    total = np.zeros(len(orders))
-    prov = [["exact"] for _ in orders]
-    for spec, count in plan.items:
-        curve = rdp_curve(spec, orders, mode)
-        total += count * curve.epsilons
-        for i, tag in enumerate(curve.provenance):
-            prov[i].append(tag)
-    return RdpCurve(orders, total, tuple(_merge_provenance(tags) for tags in prov))
 
 
 def scale_curve(curve: RdpCurve, count: int) -> RdpCurve:
@@ -463,18 +425,6 @@ class BisPoissonComparison:
     eps_bis_loose: np.ndarray
     eps_poisson: np.ndarray
     provenance_tight: tuple
-
-    @property
-    def tight_below_poisson(self) -> bool:
-        return bool(np.all(self.eps_bis_tight <= self.eps_poisson))
-
-    @property
-    def loose_below_poisson(self) -> bool:
-        return bool(np.all(self.eps_bis_loose <= self.eps_poisson))
-
-    def poisson_over_tight_ratio(self, alpha: int) -> float:
-        idx = self.orders.index(validate_order(alpha))
-        return float(self.eps_poisson[idx] / self.eps_bis_tight[idx])
 
 
 def compare_bis_poisson(T: int, k: int, c: float, sigma: float, orders=DEFAULT_ORDERS) -> BisPoissonComparison:

@@ -49,8 +49,10 @@ bracket endpoints, mechanism label, config, version.
 followed by one JSON record per check: ``check`` (sandwich /
 offset-identity / alpha2-tightness / dim-reduction), the family fields
 (d, k, c, sigma), alpha, the computed quantities, and ``ok``; failing
-records are reprinted after a ``#`` summary line.  A run that would yield
-no check record (every family too large for the requested checks) exits 2.
+records are reprinted after a ``#`` summary line.  A check named in
+``--checks`` that fits none of the families (each too large for it) exits
+2 before any check runs; without ``--checks``, each family skips the checks
+it is too large for.
 
 ``simulate`` writes ``trace.jsonl`` (one record per iteration: iteration,
 participants, assignment_counts, max/mean clipped norm, noise_norm, loss,
@@ -276,11 +278,7 @@ def cmd_calibrate(args) -> int:
     )
     print(f"sigma = {_fmt(result.sigma)}")
     print(f"achieved_epsilon = {_fmt(result.achieved_epsilon)} (target {_fmt(args.epsilon)}, delta {_fmt(args.delta)})")
-    line = json.dumps(record, sort_keys=True)
-    if args.out is None:
-        print(line)
-    else:
-        _write_lines(args.out, [line])
+    _write_lines(args.out, [json.dumps(record, sort_keys=True)])
     return EXIT_OK
 
 
@@ -296,7 +294,8 @@ def _default_verify_grid():
 
 
 _CHECKS = ("sandwich", "offset", "dimred", "alpha2")
-# Largest family d these checks run on; other families skip them.
+# Largest family d these checks run on; other families skip them, and a
+# requested check that no family fits is refused.
 _CHECK_MAX_D = {"offset": 4, "dimred": 2}
 # Report fields the verify records leave out: the family is spread into its
 # own keys, and the tolerances and combined stderr stay internal.
@@ -316,6 +315,14 @@ def cmd_verify(args) -> int:
             raise CliError(f"unknown check {name!r}")
     families = [_family_from_kv(text) for text in args.family] if args.family else _default_verify_grid()
     alphas = tuple(validate_order(alpha) for alpha in args.alpha) if args.alpha else (2, 3, 5)
+    if args.checks is not None:
+        smallest = min(family.d for family in families)
+        unfit = [name for name in checks if name in _CHECK_MAX_D and smallest > _CHECK_MAX_D[name]]
+        if unfit:
+            limits = ", ".join(f"{name} d <= {_CHECK_MAX_D[name]}" for name in unfit)
+            raise CliError(
+                f"requested checks {','.join(checks)} ({limits}): no family fits {', '.join(unfit)}; nothing was checked"
+            )
     mc = McSpec(n_samples=args.mc_samples, seed=args.seed)
 
     records = []
@@ -338,9 +345,6 @@ def cmd_verify(args) -> int:
             for alpha in alphas:
                 records.append(_record("dim-reduction", family, verify_dim_reduction(centers, family.sigma, alpha)))
 
-    if not records:
-        limits = ", ".join(f"{name} d <= {_CHECK_MAX_D[name]}" for name in _CHECK_MAX_D if name in checks)
-        raise CliError(f"no family fits the requested checks {','.join(checks)} ({limits}); nothing was checked")
     failures = [record for record in records if not record["ok"]]
     meta = {"record": "meta", "tool": "amplify-acct", "version": __version__, "config": _resolved_config(args)}
     lines = [json.dumps(meta, sort_keys=True)] + [json.dumps(r, sort_keys=True) for r in records]
@@ -364,7 +368,7 @@ def cmd_simulate(args) -> int:
         if mode == "model_split":
             if args.d is None:
                 raise CliError("model-split mode needs --d")
-            plan = even_split_plan(args.m, args.d, args.nonsplit)
+            plan = even_split_plan(args.m, args.d)
         config = SimConfig(
             T=args.T,
             c=args.c,
@@ -476,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--c", type=float, default=1.0)
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--d", type=int, default=None)
-    p_sim.add_argument("--nonsplit", type=int, default=0, help="trailing non-split parameters")
     p_sim.add_argument("--schedule", choices=("all", "bis", "poisson"), default="all")
     p_sim.add_argument("--k", type=int, default=None)
     p_sim.add_argument("--gamma", type=float, default=None)

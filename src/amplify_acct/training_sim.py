@@ -174,16 +174,13 @@ def make_hidden_task(n_samples: int, in_dim: int, hidden_dim: int, seed: int, no
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Disjoint parameter blocks (the submodels) plus an optional non-split set."""
+    """Disjoint parameter blocks (the submodels)."""
 
     blocks: tuple  # of index tuples
-    nonsplit: tuple = ()
 
     def __post_init__(self):
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        nonsplit = tuple(int(i) for i in self.nonsplit)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "nonsplit", nonsplit)
         if not blocks:
             raise ValueError("a split plan needs at least one block")
         seen = set()
@@ -192,22 +189,18 @@ class SplitPlan:
             if overlap:
                 raise ValueError(f"blocks are not disjoint: indices {sorted(overlap)} repeat")
             seen.update(block)
-        if seen.intersection(nonsplit):
-            raise ValueError("nonsplit indices overlap a block")
 
     @property
     def d(self) -> int:
         return len(self.blocks)
 
 
-def even_split_plan(param_dim: int, d: int, nonsplit_count: int = 0) -> SplitPlan:
-    """Partition [0, param_dim) into d contiguous blocks, last indices non-split."""
-    split_dim = param_dim - nonsplit_count
-    if split_dim < d:
-        raise ValueError(f"cannot split {split_dim} parameters into {d} blocks")
-    bounds = np.linspace(0, split_dim, d + 1).astype(int)
-    blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(d))
-    return SplitPlan(blocks, tuple(range(split_dim, param_dim)))
+def even_split_plan(param_dim: int, d: int) -> SplitPlan:
+    """Partition [0, param_dim) into d contiguous blocks."""
+    if param_dim < d:
+        raise ValueError(f"cannot split {param_dim} parameters into {d} blocks")
+    bounds = np.linspace(0, param_dim, d + 1).astype(int)
+    return SplitPlan(tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(d)))
 
 
 @dataclass(frozen=True)
@@ -353,12 +346,11 @@ def _plain_step(task, config, w, t, participants):
 
 
 def _split_step(task, config, w, t, participants):
-    """Per-sample gradients masked to one uniformly drawn block plus the non-split set."""
+    """Per-sample gradients masked to one uniformly drawn block."""
     plan = config.plan
     allowed = np.zeros((plan.d, task.param_dim), dtype=bool)
     for b, block in enumerate(plan.blocks):
         allowed[b, list(block)] = True
-        allowed[b, list(plan.nonsplit)] = True
     blocks = stream(config.seed, "assign", t).integers(plan.d, size=task.n_samples)[participants]
     outside = ~allowed[blocks]
     grads = task.per_sample_gradients(w)[participants]
@@ -437,16 +429,17 @@ def run_model_split_training(task: SyntheticTask, config: SimConfig) -> SimTrace
     """Clipped-gradient training where each sample updates one random submodel.
 
     Per sample and iteration: draw a uniform block, zero the gradient
-    outside block + nonsplit, clip to c, sum over participants, add
-    N(0, sigma^2 I) once, and step.  With d=1, sigma=0 and an empty
-    non-split set the trajectory is bit-identical to plain clipped
-    gradient descent under the same seed.  Also runs mode="plain" (no
-    masking).
+    outside it, clip to c, sum over participants, add N(0, sigma^2 I)
+    once, and step.  There is no non-split part: one clipping norm over a
+    split and a non-split part has no accounting rule (``PartialSplit``
+    clips the two parts separately).  With d=1 and sigma=0 the trajectory is
+    bit-identical to plain clipped gradient descent under the same seed.
+    Also runs mode="plain" (no masking).
     """
     if config.mode == "dropout":
         raise ValueError("use run_dropout_training for dropout mode")
     if config.mode == "model_split":
-        plan_indices = {i for b in config.plan.blocks for i in b} | set(config.plan.nonsplit)
+        plan_indices = {i for b in config.plan.blocks for i in b}
         if not plan_indices.issubset(range(task.param_dim)):
             raise ValueError("split plan indexes parameters outside the task")
     step = _split_step if config.mode == "model_split" else _plain_step
@@ -474,9 +467,9 @@ def report_privacy(config: SimConfig) -> PrivacyReport:
     """Map a run configuration to its accountant guarantee, or refuse.
 
     Combinations whose accounting rule the toolkit does not provide (any
-    split/dropout mode together with data subsampling, or a single-clip
-    run with a non-split part) come back as an explicit refusal that states
-    the reason, never as a silently wrong number.
+    split/dropout mode together with data subsampling) come back as an
+    explicit refusal that states the reason, never as a silently wrong
+    number.
     """
     if config.sigma <= 0:
         raise ValueError("privacy accounting needs sigma > 0")
@@ -488,16 +481,6 @@ def report_privacy(config: SimConfig) -> PrivacyReport:
                 f"subsampling: each update is a mixture over both the {config.schedule} participation "
                 f"draw and the {config.mode} block choice, and no divergence bound for that nested "
                 "mixture is implemented"
-            ),
-        )
-    if config.mode == "model_split" and config.plan.nonsplit:
-        return PrivacyReport(
-            guarantee=None,
-            refusal=(
-                "single-clip run with a non-split part has no accounting rule: the split part and "
-                "the non-split part are accounted at their own clipping norms, and one norm over "
-                "both leaves either part's share of it unknown; split and non-split parts need "
-                "separate clipping norms"
             ),
         )
     if config.mode == "model_split":

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from amplify_acct import accountant
 from amplify_acct.accountant import (
     Bis,
+    BisPoissonComparison,
     CalibrationBracketError,
-    CompositionPlan,
     DEFAULT_ORDERS,
     DpGuarantee,
     DropoutSplit,
@@ -19,7 +20,6 @@ from amplify_acct.accountant import (
     bis_epoch_composition,
     calibrate_sigma,
     compare_bis_poisson,
-    compose,
     mechanism_label,
     rdp_curve,
     scale_curve,
@@ -110,31 +110,24 @@ class TestRdpCurve:
 
 class TestCompose:
     def test_triple_gaussian(self):
-        plan = CompositionPlan(((Gaussian(c=1, sigma=1), 3),))
-        assert compose(plan, orders=(2,)).epsilons[0] == pytest.approx(3.0, abs=1e-12)
-
-    def test_mixed_plan(self):
-        plan = CompositionPlan(((Gaussian(c=1, sigma=1), 1), (Gaussian(c=1, sigma=2), 1)))
-        assert compose(plan, orders=(4,)).epsilons[0] == pytest.approx(2.0 + 0.5, abs=1e-12)
+        curve = scale_curve(rdp_curve(Gaussian(c=1, sigma=1), orders=(2,)), 3)
+        assert curve.epsilons[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_bis_full_vs_repeated_gaussian(self):
-        left = compose(CompositionPlan(((Bis(T=10, k=10, c=1, sigma=1), 1),)))
-        right = compose(CompositionPlan(((Gaussian(c=1, sigma=1), 10),)))
+        left = rdp_curve(Bis(T=10, k=10, c=1, sigma=1))
+        right = scale_curve(rdp_curve(Gaussian(c=1, sigma=1)), 10)
         assert np.max(np.abs(left.epsilons - right.epsilons)) <= 1e-9
 
     def test_linear_in_counts(self):
-        single = compose(CompositionPlan(((PoissonGaussian(c=1, sigma=2, gamma=0.3), 1),)), orders=(2, 7))
-        many = compose(CompositionPlan(((PoissonGaussian(c=1, sigma=2, gamma=0.3), 41),)), orders=(2, 7))
+        single = rdp_curve(PoissonGaussian(c=1, sigma=2, gamma=0.3), orders=(2, 7))
+        many = scale_curve(single, 41)
         assert np.allclose(many.epsilons, 41 * single.epsilons)
 
-    def test_provenance_takes_weakest_tag(self):
-        plan = CompositionPlan(((Gaussian(c=1, sigma=1), 1), (Bis(T=10, k=4, c=1, sigma=2), 1)))
-        curve = compose(plan, orders=(2, 50))
-        assert curve.provenance == ("tight", "loose")
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ValueError):
-            CompositionPlan(())
+    def test_general_composition_api_is_gone(self):
+        for name in ("compose", "CompositionPlan", "_merge_provenance", "_PROVENANCE_RANK"):
+            assert not hasattr(accountant, name)
+        for name in ("tight_below_poisson", "loose_below_poisson", "poisson_over_tight_ratio"):
+            assert not hasattr(BisPoissonComparison, name)
 
 
 class TestConversions:
@@ -247,12 +240,13 @@ class TestCompareBisPoisson:
 
     def test_small_T_tight_dominates(self):
         cmp = compare_bis_poisson(10, 4, 1.0, 2.0)
-        assert cmp.tight_below_poisson
-        assert cmp.poisson_over_tight_ratio(100) > cmp.poisson_over_tight_ratio(10)
+        assert np.all(cmp.eps_bis_tight <= cmp.eps_poisson)
+        ratio = cmp.eps_poisson / cmp.eps_bis_tight
+        assert ratio[cmp.orders.index(100)] > ratio[cmp.orders.index(10)]
 
     def test_loose_dominates_above_threshold(self):
         cmp = compare_bis_poisson(8, 4, 1.0, 2.0)  # k/T = 0.5 >= 0.25
-        assert cmp.loose_below_poisson
+        assert np.all(cmp.eps_bis_loose <= cmp.eps_poisson)
 
     def test_randomized_dominance_sweep(self):
         # Tight-mode dominance holds wherever the exact forward path is
@@ -268,7 +262,7 @@ class TestCompareBisPoisson:
             exact = np.array([p == "tight" for p in cmp.provenance_tight])
             assert np.all(cmp.eps_bis_tight[exact] <= cmp.eps_poisson[exact] + 1e-9), (T, k, sigma)
             if k / T >= 0.25:
-                assert cmp.loose_below_poisson, (T, k, sigma)
+                assert np.all(cmp.eps_bis_loose <= cmp.eps_poisson), (T, k, sigma)
 
 
 class TestLabels:

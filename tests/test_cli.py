@@ -277,7 +277,11 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "family, check, limit",
-        [("d=3,k=1", "dimred", "dimred d <= 2"), ("d=5,k=1", "offset", "offset d <= 4")],
+        [
+            ("d=3,k=1", "dimred", "dimred d <= 2"),
+            ("d=5,k=1", "offset", "offset d <= 4"),
+            ("d=3,k=1", "dimred,alpha2", "dimred d <= 2"),
+        ],
     )
     def test_no_family_fits_the_checks_exits_2(self, capsys, family, check, limit):
         code, out, err = run(capsys, "verify", "--family", family, "--checks", check)
@@ -300,16 +304,22 @@ class TestSimulate:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["diagnostics"]["support_violations"] == 0
 
-    def test_rate_flag_and_config_key_are_gone(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value, mode",
+        [("rate", 0.5, ["dropout"]), ("nonsplit", 1, ["model-split", "--d", "2"])],
+        ids=["rate", "nonsplit"],
+    )
+    def test_rate_flag_and_config_key_are_gone(self, capsys, tmp_path, key, value, mode):
+        argv = ["simulate", "--mode", *mode, "--T", "2"]
         with pytest.raises(SystemExit) as exc:
-            run(capsys, "simulate", "--mode", "dropout", "--T", "2", "--rate", "0.5")
+            run(capsys, *argv, f"--{key}", str(value))
         assert exc.value.code == EXIT_CONFIG
-        assert "unrecognized arguments: --rate" in capsys.readouterr().err
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"simulate": {"rate": 0.5}}))
-        code, out, err = run(capsys, "--config", str(cfg), "simulate", "--mode", "dropout", "--T", "2")
+        cfg.write_text(json.dumps({"simulate": {key: value}}))
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert code == EXIT_CONFIG
-        assert "unknown config key(s) for 'simulate': ['rate']" in err
+        assert f"unknown config key(s) for 'simulate': ['{key}']" in err
         assert out == ""
 
     def test_bis_schedule_row_sums(self, capsys, tmp_path):

@@ -8,10 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from amplify_acct.accountant import (
     Bis,
-    CompositionPlan,
     Gaussian,
     PoissonGaussian,
-    compose,
     rdp_curve,
     scale_curve,
     to_delta,
@@ -134,11 +132,9 @@ def test_poisson_below_gaussian_and_monotone(sigma, gamma, count, alpha):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 30), st.floats(0.3, 3.0))
 def test_composition_linearity(count_a, count_b, sigma):
-    plan_ab = CompositionPlan(((Gaussian(c=1, sigma=sigma), count_a + count_b),))
-    plan_a = CompositionPlan(((Gaussian(c=1, sigma=sigma), count_a),))
-    plan_b = CompositionPlan(((Gaussian(c=1, sigma=sigma), count_b),))
-    total = compose(plan_ab, orders=(2, 17))
-    parts = compose(plan_a, orders=(2, 17)).epsilons + compose(plan_b, orders=(2, 17)).epsilons
+    curve = rdp_curve(Gaussian(c=1, sigma=sigma), orders=(2, 17))
+    total = scale_curve(curve, count_a + count_b)
+    parts = scale_curve(curve, count_a).epsilons + scale_curve(curve, count_b).epsilons
     assert np.allclose(total.epsilons, parts, rtol=1e-12)
 
 

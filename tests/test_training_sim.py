@@ -40,16 +40,11 @@ class TestSplitPlan:
         with pytest.raises(ValueError):
             SplitPlan(((0, 1), (1, 2)))
 
-    def test_rejects_nonsplit_overlap(self):
-        with pytest.raises(ValueError):
-            SplitPlan(((0, 1),), nonsplit=(1,))
-
     def test_even_split_shapes(self):
-        plan = even_split_plan(10, 3, nonsplit_count=1)
+        plan = even_split_plan(10, 3)
         assert plan.d == 3
-        assert plan.nonsplit == (9,)
         covered = sorted(i for b in plan.blocks for i in b)
-        assert covered == list(range(9))
+        assert covered == list(range(10))
 
 
 class TestTasks:
@@ -328,14 +323,6 @@ class TestReportPrivacy:
         report = report_privacy(config)
         assert report.refused
         assert "no divergence bound for that nested mixture" in report.refusal
-
-    def test_nonsplit_part_refused(self):
-        config = SimConfig(
-            T=10, c=1.0, sigma=1.0, mode="model_split", plan=even_split_plan(9, 2, nonsplit_count=1)
-        )
-        report = report_privacy(config)
-        assert report.refused
-        assert "separate clipping norms" in report.refusal
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
