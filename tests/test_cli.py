@@ -305,12 +305,12 @@ class TestSimulate:
         assert summary["diagnostics"]["support_violations"] == 0
 
     @pytest.mark.parametrize(
-        "key, value, mode",
+        "key, value, mode_args",
         [("rate", 0.5, ["dropout"]), ("nonsplit", 1, ["model-split", "--d", "2"])],
         ids=["rate", "nonsplit"],
     )
-    def test_rate_flag_and_config_key_are_gone(self, capsys, tmp_path, key, value, mode):
-        argv = ["simulate", "--mode", *mode, "--T", "2"]
+    def test_rate_flag_and_config_key_are_gone(self, capsys, tmp_path, key, value, mode_args):
+        argv = ["simulate", "--mode", *mode_args, "--T", "2"]
         with pytest.raises(SystemExit) as exc:
             run(capsys, *argv, f"--{key}", str(value))
         assert exc.value.code == EXIT_CONFIG
