@@ -19,9 +19,10 @@ named after the fields plus ``count``, with ``c`` and ``sigma`` defaulting
 to ``--c`` and ``--sigma``.  A missing, repeated or unknown key exits 2.
 A new table entry appears here with no code change (a new field name
 also needs its flag in ``_add_mech_flags``).  The only special case is
-``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.  ``simulate``
-refuses ``--gamma``, ``--k`` and ``--d`` where its schedule or mode does not
-use them.
+``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.  ``calibrate``
+takes no ``--sigma``: it searches for sigma.  ``simulate`` refuses
+``--gamma``, ``--k``, ``--d`` and ``--hidden`` where its schedule or mode
+does not use them.
 
 A JSON config file (``--config``) holds one object per command name;
 explicit flags override config values (a repeatable flag replaces the
@@ -43,7 +44,7 @@ the same rows under ``{"tool", "version", "config", "rows"}``.
 
 ``calibrate`` prints ``sigma`` and the achieved epsilon, then one JSON
 record: sigma, achieved/target epsilon, delta, bisection iteration count,
-bracket endpoints, mechanism label, config, version.
+bracket endpoints, label of the calibrated mechanism, config, version.
 
 ``verify`` emits a leading meta record (tool, version, resolved config)
 followed by one JSON record per check: ``check`` (sandwich /
@@ -133,19 +134,21 @@ def _build_mechanism(args) -> object:
             "and no divergence bound for that nested mixture is implemented; refusing"
         )
     params = spec_params(_MECHS[mech])
-    # --sigma always holds a value; every other field flag is None unless set.
-    others = sorted({name for cls in MECHANISMS for name in spec_params(cls)} - set(params) - {"sigma"})
+    # Field flags are None unless set (every mechanism has a sigma).
+    others = sorted({name for cls in MECHANISMS for name in spec_params(cls)} - set(params))
     stray = [_flag(name) for name in others if getattr(args, name) is not None]
     if stray:
         raise CliError(f"{mech} takes no {', '.join(stray)}")
     if "c" in params and args.c is None:
         args.c = 1.0  # the default clipping norm, filled in before the config is echoed
+    # calibrate has no --sigma: its probes replace the template's sigma of 1.
+    given = {"sigma": 1.0, **vars(args)}
     if rate is not None:
-        return PoissonGaussian(c=args.c, sigma=args.sigma, gamma=rate)
-    missing = [_flag(name) for name in params if getattr(args, name) is None]
+        return PoissonGaussian(c=args.c, sigma=given["sigma"], gamma=rate)
+    missing = [_flag(name) for name in params if given[name] is None]
     if missing:
         raise CliError(f"{mech} needs {', '.join(missing)}")
-    return _MECHS[mech](**{name: getattr(args, name) for name in params})
+    return _MECHS[mech](**{name: given[name] for name in params})
 
 
 def _flag(name: str) -> str:
@@ -271,7 +274,7 @@ def cmd_calibrate(args) -> int:
         {
             "tool": "amplify-acct",
             "version": __version__,
-            "mechanism": mechanism_label(spec),
+            "mechanism": mechanism_label(dataclasses.replace(spec, sigma=result.sigma)),
             "count": args.count,
             "config": _resolved_config(args),
         }
@@ -359,10 +362,17 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     mode = args.mode.replace("-", "_")
-    unused = {"gamma": args.schedule != "poisson", "k": args.schedule != "bis", "d": mode != "model_split"}
+    unused = {
+        "gamma": args.schedule != "poisson",
+        "k": args.schedule != "bis",
+        "d": mode != "model_split",
+        "hidden": mode != "dropout",
+    }
     stray = [_flag(name) for name, off in unused.items() if off and getattr(args, name) is not None]
     if stray:
         raise CliError(f"simulate --mode {args.mode} --schedule {args.schedule} takes no {', '.join(stray)}")
+    if mode == "dropout" and args.hidden is None:
+        args.hidden = 6  # the default hidden width, filled in before the config is echoed
     try:
         plan = None
         if mode == "model_split":
@@ -422,7 +432,6 @@ def cmd_simulate(args) -> int:
 def _add_mech_flags(parser) -> None:
     parser.add_argument("--mech", required=True, choices=tuple(_MECHS))
     parser.add_argument("--c", type=float, default=None, help="clipping norm (default 1 where the mechanism has one)")
-    parser.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
     parser.add_argument("--gamma", type=float, default=None, help="poisson-gaussian sampling rate")
     parser.add_argument("--d", type=int, default=None, help="submodel count")
     parser.add_argument("--T", type=int, default=None, help="bis: total iterations")
@@ -443,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eps = sub.add_parser("epsilon", help="(epsilon, delta) guarantee for one mechanism")
     _add_mech_flags(p_eps)
+    p_eps.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
     p_eps.add_argument("--delta", type=float, required=True)
     p_eps.set_defaults(func=cmd_epsilon)
 
@@ -485,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--gamma", type=float, default=None)
     p_sim.add_argument("--n", type=int, default=64, help="samples")
     p_sim.add_argument("--m", type=int, default=12, help="parameter / input dimension")
-    p_sim.add_argument("--hidden", type=int, default=6, help="hidden units (dropout mode)")
+    p_sim.add_argument("--hidden", type=int, default=None, help="hidden units (dropout mode, default 6)")
     p_sim.add_argument("--lr", type=float, default=0.05)
     p_sim.add_argument("--delta", type=float, default=1e-5)
     p_sim.add_argument("--seed", type=int, default=0)

@@ -565,12 +565,11 @@ class _OneHotReverse(_ReverseQuadrature):
 # G_0 = 0 and psi(t) = G_n(0) + t.  Up to t = 1000 the recursion runs on the
 # excess R_j = G_j + j u + tau C(j, 2) >= 0 instead, whose small values keep
 # psi's relative precision (see ``_recursion``).  For each batch of t, every
-# G_j (or R_j) lives on one grid in log(u + 0.01) and is read back through a
-# cubic spline.  The
-# grid reaches every point the recursion from G_n(0) needs (tau times sums of
-# up to n - 1 values of Y); beyond it, at points no needed value depends on,
-# G_j at the grid's top stands in, which bounds G_j there because G_j
-# decreases in u.  The expectation over Y is a z-grid trapezoid reaching 4
+# G_j (or R_j) lives on one grid in log(u + 0.01) and is read back through
+# the not-a-knot cubic spline of ``_not_a_knot_spline``.  The grid reaches
+# every point the recursion from G_n(0) needs (tau times sums of up to n - 1
+# values of Y); beyond it, at points no needed value depends on, G_j at the
+# grid's top stands in, which bounds G_j there because G_j decreases in u.  The expectation over Y is a z-grid trapezoid reaching 4
 # below the saddle z* = -W(u s^2 e^(-s^2/2)) / s of exp(-u Y) at the largest
 # u, with a step that resolves that saddle's width 1/sqrt(1 + s |z*|).  The
 # spline error at the step _REV_TWO_HOT_H is below 1e-6 relative on D
@@ -589,6 +588,39 @@ _REV_TWO_HOT_MAX_D = 15  # the recursion runs d times over the grids: a cost gua
 _REV_TWO_HOT_S_MIN = 0.01  # below this the spline error outgrows psi ~ (s t)^2 / n
 _REV_TWO_HOT_S_MAX = 0.3  # the grids and the outer window grow with c/sigma: a cost guard
 _REV_TWO_HOT_CELLS = 1 << 20  # (grid x z x t) cells evaluated per batch
+
+
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the not-a-knot cubic spline through (x, y[:, col]), per column.
+
+    Shape (4, n - 1, cols): on [x_i, x_(i+1)] the spline is
+    ((c[0] dx + c[1]) dx + c[2]) dx + c[3] at dx = x - x_i.  The slopes m_i
+    at the knots solve the usual tridiagonal system for C2 continuity; its
+    end rows (not-a-knot) make the third derivative continuous at x_1 and
+    x_(n-2).  The Thomas algorithm solves it without pivoting (n >= 4).
+    """
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    # Row i: sub[i] m_(i-1) + diag[i] m_i + sup[i] m_(i+1) = rhs[i].
+    sub, diag, sup = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
+    sub[1:-1], diag[1:-1], sup[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs = np.empty_like(y)
+    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    lo, hi = x[2] - x[0], x[-1] - x[-3]
+    diag[0], sup[0] = dx[1], lo
+    rhs[0] = ((dx[0] + 2.0 * lo) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / lo
+    sub[-1], diag[-1] = hi, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * hi + dx[-1]) * dx[-2] * slope[-1]) / hi
+    for i in range(1, len(x)):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    m = rhs  # back substitution in place
+    m[-1] /= diag[-1]
+    for i in range(len(x) - 2, -1, -1):
+        m[i] = (m[i] - sup[i] * m[i + 1]) / diag[i]
+    t = (m[:-1] + m[1:] - 2.0 * slope) / dx[:, None]
+    return np.stack((t / dx[:, None], (slope - m[:-1]) / dx[:, None] - t, m[:-1], y[:-1]))
 
 
 class _TwoHotReverse(_ReverseQuadrature):
@@ -655,8 +687,6 @@ class _TwoHotReverse(_ReverseQuadrature):
         it keeps full relative precision when psi is small (small t or c/sigma),
         G_j when t is large and psi - t is what matters.
         """
-        from scipy.interpolate import CubicSpline  # here: the import would slow every CLI start
-
         s = self.s
         xi, z, hz = self._grids(float(t.max()))
         y = np.exp(s * z - 0.5 * s * s)
@@ -681,7 +711,7 @@ class _TwoHotReverse(_ReverseQuadrature):
             if excess and j > 1:
                 expo -= (j - 1) * ym1[:, None] * tau
             if j > 1:
-                c = CubicSpline(xi, g, axis=0).c
+                c = _not_a_knot_spline(xi, g)
                 idx, dx = cell[rows], dq[rows]
                 expo += ((c[0][idx, col] * dx + c[1][idx, col]) * dx + c[2][idx, col]) * dx + c[3][idx, col]
                 if excess:

@@ -52,6 +52,7 @@ __all__ = [
     "SplitPlan",
     "SyntheticTask",
     "assign_bis_schedule",
+    "even_split_plan",
     "make_hidden_task",
     "make_linear_task",
     "report_privacy",

@@ -305,21 +305,24 @@ class TestSimulate:
         assert summary["diagnostics"]["support_violations"] == 0
 
     @pytest.mark.parametrize(
-        "key, value, mode_args",
-        [("rate", 0.5, ["dropout"]), ("nonsplit", 1, ["model-split", "--d", "2"])],
-        ids=["rate", "nonsplit"],
+        "key, value, argv",
+        [
+            ("rate", 0.5, ["simulate", "--mode", "dropout", "--T", "2"]),
+            ("nonsplit", 1, ["simulate", "--mode", "model-split", "--d", "2", "--T", "2"]),
+            ("sigma", 7, ["calibrate", "--mech", "gaussian", "--epsilon", "2", "--delta", "1e-5"]),
+        ],
+        ids=["rate", "nonsplit", "sigma"],
     )
-    def test_rate_flag_and_config_key_are_gone(self, capsys, tmp_path, key, value, mode_args):
-        argv = ["simulate", "--mode", *mode_args, "--T", "2"]
+    def test_rate_flag_and_config_key_are_gone(self, capsys, tmp_path, key, value, argv):
         with pytest.raises(SystemExit) as exc:
             run(capsys, *argv, f"--{key}", str(value))
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"simulate": {key: value}}))
+        cfg.write_text(json.dumps({argv[0]: {key: value}}))
         code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert code == EXIT_CONFIG
-        assert f"unknown config key(s) for 'simulate': ['{key}']" in err
+        assert f"unknown config key(s) for '{argv[0]}': ['{key}']" in err
         assert out == ""
 
     def test_bis_schedule_row_sums(self, capsys, tmp_path):
@@ -365,6 +368,7 @@ class TestSimulate:
             (["--gamma", "0.3"], "--gamma"),
             (["--schedule", "poisson", "--gamma", "0.3", "--k", "2"], "--k"),
             (["--mode", "dropout", "--d", "2"], "--d"),
+            (["--hidden", "3"], "--hidden"),
         ],
     )
     def test_flag_the_mode_or_schedule_lacks_exits_2(self, capsys, tmp_path, argv, flag):

@@ -25,6 +25,7 @@ from amplify_acct.rdp_math import (
     forward_exact_k1_curve,
     reverse_bound,
 )
+from amplify_acct.rdp_math import _not_a_knot_spline, _TwoHotReverse
 
 @st.composite
 def family_strategy(draw, max_d=12, max_c=4.0, min_sigma=0.3, max_sigma=4.0):
@@ -153,3 +154,29 @@ def test_bis_curves_monotone_in_order_prefix(T, sigma, alpha):
     k = max(1, T // 3)
     curve = rdp_curve(Bis(T=T, k=k, c=1, sigma=sigma), orders=tuple(range(2, alpha + 1)))
     assert np.all(np.diff(curve.epsilons) >= -1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 15),
+    st.floats(0.01, 0.3),
+    st.floats(2e3, 1e6),
+    st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    st.floats(0.0, 1.0),
+)
+def test_spline_reproduces_cubics_across_the_step_change(d, s, t_max, coeffs, frac):
+    # Not-a-knot splines are exact on cubics; the grid switches from step h
+    # to 4h (t_max above the excess-form limit), and three columns share it.
+    xi = _TwoHotReverse(d, s)._grids(t_max)[0]
+    assert len(set(np.round(np.diff(xi), 12))) == 2
+    poly = np.array(coeffs).reshape(4, 3)
+    mid = 0.5 * (xi[0] + xi[-1])
+
+    def cubic(x):
+        return sum(poly[p] * (x[:, None] - mid) ** p for p in range(4))
+
+    c = _not_a_knot_spline(xi, cubic(xi))
+    dx = frac * np.diff(xi)
+    spline = ((c[0] * dx[:, None] + c[1]) * dx[:, None] + c[2]) * dx[:, None] + c[3]
+    truth = cubic(xi[:-1] + dx)
+    assert np.max(np.abs(spline - truth)) <= 1e-12 * max(1.0, np.max(np.abs(truth)))

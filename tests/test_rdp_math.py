@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +275,20 @@ class TestTwoHotReverse:
         family = MixtureFamily(7, 2, 0.3, 1.7)
         rescaled = MixtureFamily(7, 2, 0.3 * 3.3, 1.7 * 3.3)
         assert reverse_bound(rescaled, 5) == reverse_bound(family, 5)
+
+
+def test_two_hot_path_loads_no_scipy():
+    # A fresh interpreter: this process may already hold scipy from other tests.
+    src = Path(rdp_math.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from amplify_acct.rdp_math import MixtureFamily, _two_hot_reverse_exact, reverse_bound_curve; "
+        "reverse_bound_curve(MixtureFamily(5, 2, 1.0, 4.0), [2, 3]); "
+        "print(_two_hot_reverse_exact.cache_info().misses, "
+        "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "1 []"  # the two-hot recursion ran once
 
 
 class TestPoissonGaussianCurve:
