@@ -569,13 +569,13 @@ class _OneHotReverse(_ReverseQuadrature):
 # the not-a-knot cubic spline of ``_not_a_knot_spline``.  The grid reaches
 # every point the recursion from G_n(0) needs (tau times sums of up to n - 1
 # values of Y); beyond it, at points no needed value depends on, G_j at the
-# grid's top stands in, which bounds G_j there because G_j decreases in u.  The expectation over Y is a z-grid trapezoid reaching 4
-# below the saddle z* = -W(u s^2 e^(-s^2/2)) / s of exp(-u Y) at the largest
-# u, with a step that resolves that saddle's width 1/sqrt(1 + s |z*|).  The
-# spline error at the step _REV_TWO_HOT_H is below 1e-6 relative on D
-# (checked against halved steps, against the complement identity at n = 3
-# and against Gauss-Hermite cubature at n = 5); _REV_TWO_HOT_SLACK rounds the
-# result up past it.
+# grid's top stands in, which bounds G_j there because G_j decreases in u.
+# The expectation over Y is a z-grid trapezoid reaching 4 below the saddle
+# z* = -W(u s^2 e^(-s^2/2)) / s of exp(-u Y) at the largest u, with a step
+# that resolves that saddle's width 1/sqrt(1 + s |z*|).  The spline error at
+# the step _REV_TWO_HOT_H is below 1e-6 relative on D (checked against halved
+# steps, against the complement identity at n = 3 and against Gauss-Hermite
+# cubature at n = 5); _REV_TWO_HOT_SLACK rounds the result up past it.
 
 _REV_TWO_HOT_H = 0.05  # grid step in log(u + _REV_TWO_HOT_U0)
 _REV_TWO_HOT_U0 = 0.01
