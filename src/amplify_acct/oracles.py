@@ -134,13 +134,21 @@ def point_mixture(center, sigma: float) -> GenericMixture:
 
 
 def mixture_logpdf(mixture: GenericMixture, x: np.ndarray) -> np.ndarray:
-    """Log density of the mixture at each row of x."""
+    """Log density of the mixture at each row of x.
+
+    -|x - mu|^2 / (2 sigma^2) = x.mu / sigma^2 - |mu|^2 / (2 sigma^2)
+    - |x|^2 / (2 sigma^2).  The last term is the same for every component,
+    so it is subtracted once, outside the log-sum-exp; the components cost
+    one (rows, centers) matmul and never a (rows, centers, dim) tensor.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    diff = x[:, None, :] - mixture.centers[None, :, :]
-    sq = np.einsum("bnd,bnd->bn", diff, diff)
-    comp = np.log(mixture.weights)[None, :] - sq / (2.0 * mixture.sigma**2)
-    norm = 0.5 * mixture.dim * math.log(2.0 * math.pi * mixture.sigma**2)
-    return _logsumexp(comp, axis=1) - norm
+    var = mixture.sigma**2
+    centers = mixture.centers
+    comp = x @ (centers.T / var)
+    comp += np.log(mixture.weights) - np.einsum("nd,nd->n", centers, centers) / (2.0 * var)
+    sq_x = np.einsum("bd,bd->b", x, x)
+    norm = 0.5 * mixture.dim * math.log(2.0 * math.pi * var)
+    return _logsumexp(comp, axis=1) - sq_x / (2.0 * var) - norm
 
 
 def sample_mixture(mixture: GenericMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,7 +255,9 @@ def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec |
     for start in range(0, n, _MC_CHUNK):
         b = min(_MC_CHUNK, n - start)
         x = sample_mixture(prop, b, rng)
-        w = a * mixture_logpdf(m_num, x) + (1 - a) * mixture_logpdf(m_den, x) - mixture_logpdf(prop, x)
+        log_num = mixture_logpdf(m_num, x)
+        log_den = mixture_logpdf(m_den, x)
+        w = a * log_num + (1 - a) * log_den - (log_num if prop is m_num else log_den)
         m = float(w.max())
         if m > shift:
             scale = math.exp(shift - m) if shift > -np.inf else 0.0

@@ -97,8 +97,13 @@ def _logsumexp(a, axis=None):
     is how many entries equal top.  Summing the rest through log1p keeps
     full relative precision when they are tiny next to the top, which a
     plain top + log(sum) loses.  Rows whose entries are all -inf give -inf.
+    Over an axis of length 1 the sum is the entry itself; the general path
+    would compute log1p(0) + log(1) + top = 0.0 + top, and so does the early
+    return, bit for bit (-0.0 becomes 0.0), into a fresh array.
     """
     a = np.asarray(a, dtype=float)
+    if axis is not None and a.shape[axis] == 1:
+        return np.squeeze(a, axis=axis) + 0.0
     top = np.max(a, axis=axis, keepdims=True)
     is_top = a == top
     count = np.sum(is_top, axis=axis, keepdims=True)

@@ -8,11 +8,17 @@
 * ``gaussian_rdp_same_mean`` -- equal-mean Gaussians with different
                                 isotropic variances, a closed form the
                                 quadrature oracle is checked against.
+* ``mixture_logpdf_direct``  -- the mixture log-density from the
+                                (rows, centers, dim) difference tensor;
+                                ``oracles.mixture_logpdf`` expands the square
+                                instead and is checked against it.
 """
 
 import math
 
-from amplify_acct.rdp_math import MixtureFamily, validate_order
+import numpy as np
+
+from amplify_acct.rdp_math import GenericMixture, MixtureFamily, _logsumexp, validate_order
 
 
 class DivergenceUndefinedError(ValueError):
@@ -74,3 +80,13 @@ def gaussian_rdp_same_mean(sigma_num: float, sigma_den: float, dim: int, alpha) 
         2.0 * (a - 1)
     )
     return max(0.0, val)
+
+
+def mixture_logpdf_direct(mixture: GenericMixture, x) -> np.ndarray:
+    """Log density of the mixture at each row of x, from |x - mu|^2 directly."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    diff = x[:, None, :] - mixture.centers[None, :, :]
+    sq = np.einsum("bnd,bnd->bn", diff, diff)
+    comp = np.log(mixture.weights)[None, :] - sq / (2.0 * mixture.sigma**2)
+    norm = 0.5 * mixture.dim * math.log(2.0 * math.pi * mixture.sigma**2)
+    return _logsumexp(comp, axis=1) - norm

@@ -40,7 +40,7 @@ from amplify_acct.accountant import (
 )
 from amplify_acct.oracles import (
     McSpec,
-    QuadratureSpec,
+    grid_spec,
     verify_dim_reduction,
     verify_offset_identity,
     verify_sandwich,
@@ -216,19 +216,13 @@ def _sweep_cells():
                     yield MixtureFamily(d, k, ratio, 1.0), alpha
 
 
-def _sweep_quad(d):
-    if d <= 2:
-        return QuadratureSpec()
-    return QuadratureSpec(truncation_radius_sigmas=8.0, points_per_sigma=10, max_dim_grid=3)
-
-
 def test_criterion_06_oracle_sandwich_suite():
     start = time.time()
     failures = {"forward": 0, "equality": 0, "exact_below_bound": 0, "reverse": 0, "order": 0}
     cells = 0
     for family, alpha in _sweep_cells():
         cells += 1
-        rep = verify_sandwich(family, alpha, _sweep_quad(family.d), SWEEP_MC)
+        rep = verify_sandwich(family, alpha, grid_spec(family.d), SWEEP_MC)
         if not rep.ok_forward_below_exact:
             failures["forward"] += 1
         if family.d <= 3 and not rep.forward_matches_exact:

@@ -486,6 +486,18 @@ class TestLogKernels:
         assert _logsumexp([2.5]) == 2.5
         assert _logsumexp(np.array([[7.25]]), axis=1).tolist() == [7.25]
 
+    def test_logsumexp_over_one_column_is_the_general_path_bit_for_bit(self):
+        vals = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -3e300, 5e-324])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Over all entries (axis=None) a length-1 array takes the general path.
+            expected = np.array([_logsumexp(np.array([v])) for v in vals]).view(np.uint64)
+        for a, axis in ((vals[:, None].copy(), 1), (vals[None, :].copy(), 0), (vals[:, None].copy(), -1)):
+            before = a.copy()
+            out = _logsumexp(a, axis=axis)
+            assert np.array_equal(out.view(np.uint64), expected)
+            out[:] = 7.0
+            assert np.array_equal(a.view(np.uint64), before.view(np.uint64))
+
     def test_log_comb_matches_exact_binomials(self):
         for n in (0, 1, 5, 100, 20000):
             k = np.array(sorted({0, min(1, n), n // 3, n // 2, n}))
