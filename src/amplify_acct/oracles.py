@@ -17,6 +17,14 @@ through the Gaussian at the mixture-center average, and
 ``verify_dim_reduction`` checks that padding every center with a zero
 coordinate leaves the divergence unchanged.
 
+Both evaluate mixture log-densities without a (points, centers, dim)
+tensor.  The quadrature never forms grid points: on the tensor grid each
+component's log density is a sum of per-axis terms, so a chunk of the grid
+is built by broadcasting per-axis (len(axis), centers) arrays.  Monte Carlo
+points go through ``mixture_logpdf``, one (rows, centers) matmul.  Both sum
+over the few centers the same way, one ``np.logaddexp`` pass per extra
+center (``_logsumexp_centers``).
+
 Estimates are pure functions of (inputs, spec, seed): grids accumulate in
 a fixed order, Monte-Carlo chunks have a fixed size, so identical calls
 are bit-identical.
@@ -82,6 +90,10 @@ class QuadratureSpec:
             raise ValueError(f"points_per_sigma must be >= 10, got {self.points_per_sigma}")
         if self.max_dim_grid < 1:
             raise ValueError("max_dim_grid must be >= 1")
+        if self.max_dim_grid > 3:
+            # One chunk is a leading-axis row times the whole grid tail: at 4
+            # dimensions that tail alone is about 1e8 cells.
+            raise ValueError(f"max_dim_grid must be <= 3, got {self.max_dim_grid}; use mc_renyi above three dimensions")
 
 
 def grid_spec(dim: int) -> QuadratureSpec:
@@ -133,22 +145,46 @@ def point_mixture(center, sigma: float) -> GenericMixture:
     return GenericMixture(center, np.ones(1), sigma)
 
 
+def _logsumexp_centers(comp: np.ndarray) -> np.ndarray:
+    """log(sum(exp(comp))) over the last (centers) axis, by ``np.logaddexp``.
+
+    One pass per extra center; a single center is just its column.  A
+    zero-weight center is a -inf column, which logaddexp adds exactly as if
+    the center were not there.
+    """
+    out = comp[..., 0]
+    for j in range(1, comp.shape[-1]):
+        out = np.logaddexp(out, comp[..., j])
+    return out
+
+
+def _log_weights(mixture: GenericMixture) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(mixture.weights)
+
+
+def _log_norm(mixture: GenericMixture) -> float:
+    # log of the Gaussian normalisation (2 pi sigma^2)^(dim/2).
+    return 0.5 * mixture.dim * math.log(2.0 * math.pi * mixture.sigma**2)
+
+
 def mixture_logpdf(mixture: GenericMixture, x: np.ndarray) -> np.ndarray:
     """Log density of the mixture at each row of x.
 
     -|x - mu|^2 / (2 sigma^2) = x.mu / sigma^2 - |mu|^2 / (2 sigma^2)
     - |x|^2 / (2 sigma^2).  The last term is the same for every component,
-    so it is subtracted once, outside the log-sum-exp; the components cost
-    one (rows, centers) matmul and never a (rows, centers, dim) tensor.
+    so it is subtracted once, after the sum over centers; the components
+    cost one (rows, centers) matmul and never a (rows, centers, dim) tensor.
+    The centers are summed by ``_logsumexp_centers``, as on the quadrature
+    grid.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     var = mixture.sigma**2
     centers = mixture.centers
     comp = x @ (centers.T / var)
-    comp += np.log(mixture.weights) - np.einsum("nd,nd->n", centers, centers) / (2.0 * var)
+    comp += _log_weights(mixture) - np.einsum("nd,nd->n", centers, centers) / (2.0 * var)
     sq_x = np.einsum("bd,bd->b", x, x)
-    norm = 0.5 * mixture.dim * math.log(2.0 * math.pi * var)
-    return _logsumexp(comp, axis=1) - sq_x / (2.0 * var) - norm
+    return _logsumexp_centers(comp) - sq_x / (2.0 * var) - _log_norm(mixture)
 
 
 def sample_mixture(mixture: GenericMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,12 +235,35 @@ def _axis_log_weights(axis: np.ndarray) -> np.ndarray:
     return logw
 
 
+def _on_axis(values: np.ndarray, j: int, dim: int) -> np.ndarray:
+    # Per-axis values of shape (len, ...) placed on axis j of a dim-axis grid.
+    return values.reshape((1,) * j + values.shape[:1] + (1,) * (dim - 1 - j) + values.shape[1:])
+
+
+def _grid_logpdf(mixture: GenericMixture, axes) -> np.ndarray:
+    """Log density of the mixture on the tensor grid of ``axes``.
+
+    Every term of a component's log density separates by axis, so the
+    components are per-axis (len(axis), centers) arrays broadcast into
+    (grid..., centers); only the sum over centers couples the axes.
+    """
+    inv = 1.0 / (2.0 * mixture.sigma**2)
+    comp = _log_weights(mixture) - _log_norm(mixture)
+    for j, axis in enumerate(axes):
+        term = -((axis[:, None] - mixture.centers[:, j]) ** 2) * inv
+        comp = comp + _on_axis(term, j, len(axes))
+    return _logsumexp_centers(comp)
+
+
 def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: QuadratureSpec | None = None) -> float:
     """Trapezoid-rule estimate of the order-alpha divergence num-vs-den.
 
     Deterministic for a fixed spec; the integrand is accumulated in log
-    space.  Dimensions above spec.max_dim_grid are refused with a pointer
-    to ``mc_renyi``.
+    space, one chunk of leading-axis rows at a time.  A chunk holds the
+    integrand on its slab of the tensor grid, built by broadcasting per-axis
+    arrays (``_grid_logpdf``, then the per-axis trapezoid log-weights); no
+    grid point array is formed.  Dimensions above spec.max_dim_grid are
+    refused with a pointer to ``mc_renyi``.
     """
     a = validate_order(alpha)
     spec = spec or QuadratureSpec()
@@ -221,12 +280,11 @@ def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: Quadra
 
     chunk_logs = []
     for start in range(0, len(axes[0]), chunk_rows):
-        stop = min(start + chunk_rows, len(axes[0]))
-        mesh = np.meshgrid(axes[0][start:stop], *axes[1:], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        logw_mesh = np.meshgrid(logws[0][start:stop], *logws[1:], indexing="ij")
-        logw = sum(m.ravel() for m in logw_mesh)
-        vals = a * mixture_logpdf(m_num, pts) + (1 - a) * mixture_logpdf(m_den, pts) + logw
+        rows = slice(start, start + chunk_rows)
+        chunk = [axes[0][rows], *axes[1:]]
+        vals = a * _grid_logpdf(m_num, chunk) + (1 - a) * _grid_logpdf(m_den, chunk)
+        for j, logw in enumerate([logws[0][rows], *logws[1:]]):
+            vals += _on_axis(logw, j, dim)
         chunk_logs.append(_logsumexp(vals))
     return float(_logsumexp(chunk_logs)) / (a - 1)
 

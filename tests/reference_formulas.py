@@ -12,12 +12,17 @@
                                 (rows, centers, dim) difference tensor;
                                 ``oracles.mixture_logpdf`` expands the square
                                 instead and is checked against it.
+* ``quad_renyi_points``      -- trapezoid-rule divergence from an explicit
+                                (cells, dim) grid point array per chunk;
+                                ``oracles.quad_renyi`` broadcasts per-axis
+                                terms instead and is checked against it.
 """
 
 import math
 
 import numpy as np
 
+from amplify_acct.oracles import _GRID_CHUNK_CELLS, QuadratureSpec, _axis_log_weights, _grid_axes, mixture_logpdf
 from amplify_acct.rdp_math import GenericMixture, MixtureFamily, _logsumexp, validate_order
 
 
@@ -87,6 +92,34 @@ def mixture_logpdf_direct(mixture: GenericMixture, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     diff = x[:, None, :] - mixture.centers[None, :, :]
     sq = np.einsum("bnd,bnd->bn", diff, diff)
-    comp = np.log(mixture.weights)[None, :] - sq / (2.0 * mixture.sigma**2)
+    with np.errstate(divide="ignore"):  # a zero weight is a -inf component
+        comp = np.log(mixture.weights)[None, :] - sq / (2.0 * mixture.sigma**2)
     norm = 0.5 * mixture.dim * math.log(2.0 * math.pi * mixture.sigma**2)
     return _logsumexp(comp, axis=1) - norm
+
+
+def quad_renyi_points(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: QuadratureSpec | None = None) -> float:
+    """Trapezoid-rule divergence num-vs-den, evaluated point by point.
+
+    The same grid, chunks and accumulation order as ``oracles.quad_renyi``,
+    but each chunk's meshgrid is stacked into a (cells, dim) point array and
+    both log densities come from ``mixture_logpdf`` at those points.
+    """
+    a = validate_order(alpha)
+    spec = spec or QuadratureSpec()
+    dim = m_num.dim
+    axes = _grid_axes(m_num, m_den, a, spec)
+    logws = [_axis_log_weights(ax) for ax in axes]
+    tail_size = int(np.prod([len(ax) for ax in axes[1:]])) if dim > 1 else 1
+    chunk_rows = max(1, _GRID_CHUNK_CELLS // max(tail_size, 1))
+
+    chunk_logs = []
+    for start in range(0, len(axes[0]), chunk_rows):
+        stop = min(start + chunk_rows, len(axes[0]))
+        mesh = np.meshgrid(axes[0][start:stop], *axes[1:], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        logw_mesh = np.meshgrid(logws[0][start:stop], *logws[1:], indexing="ij")
+        logw = sum(m.ravel() for m in logw_mesh)
+        vals = a * mixture_logpdf(m_num, pts) + (1 - a) * mixture_logpdf(m_den, pts) + logw
+        chunk_logs.append(_logsumexp(vals))
+    return float(_logsumexp(chunk_logs)) / (a - 1)

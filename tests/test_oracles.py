@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from amplify_acct.oracles import (
+    _GRID_CHUNK_CELLS,
     McSpec,
     QuadratureSpec,
+    _grid_axes,
+    grid_spec,
     mc_renyi,
     mixture_logpdf,
     point_mixture,
@@ -23,7 +26,7 @@ from amplify_acct.rdp_math import (
     forward_exact_enum,
     gaussian_rdp,
 )
-from reference_formulas import gaussian_rdp_same_mean, mixture_logpdf_direct, reverse_bound_paper
+from reference_formulas import gaussian_rdp_same_mean, mixture_logpdf_direct, quad_renyi_points, reverse_bound_paper
 
 E = math.e
 
@@ -32,6 +35,15 @@ SMALL_MC = McSpec(n_samples=400_000, seed=11)
 
 def two_center_mixture(sigma=1.0):
     return GenericMixture(np.array([[1.0], [-1.0]]), np.full(2, 0.5), sigma)
+
+
+def with_duplicate_and_zero_weight_center(mixture):
+    # The first center twice (weights n/(n+1) of the old ones and 1/(n+1) for
+    # the copy) and a far center of weight 0, a -inf column in log space.
+    n, d = mixture.centers.shape
+    centers = np.vstack([mixture.centers, mixture.centers[:1], np.full((1, d), 3.0 * mixture.sigma)])
+    weights = np.concatenate([mixture.weights * n / (n + 1), [1.0 / (n + 1), 0.0]])
+    return GenericMixture(centers, weights, mixture.sigma)
 
 
 class TestMixtureLogpdf:
@@ -53,7 +65,8 @@ class TestMixtureLogpdf:
         rng = np.random.default_rng(100 * d + k)
         for sigma in (0.5, 1.0, 2.0):
             for ratio in (0.5, 1.0, 2.0):
-                mixtures = [family_mixture(MixtureFamily(d, k, ratio * sigma, sigma))]
+                family = family_mixture(MixtureFamily(d, k, ratio * sigma, sigma))
+                mixtures = [family, with_duplicate_and_zero_weight_center(family)]
                 if k == 1:
                     mixtures.append(point_mixture(np.zeros(d), sigma))
                 x = sigma * np.vstack([rng.uniform(-14.0, 14.0, (4000, d)), 3.0 * rng.standard_normal((4000, d))])
@@ -123,6 +136,50 @@ class TestQuadRenyi:
             QuadratureSpec(truncation_radius_sigmas=4)
         with pytest.raises(ValueError):
             QuadratureSpec(points_per_sigma=5)
+        with pytest.raises(ValueError, match="mc_renyi"):
+            QuadratureSpec(max_dim_grid=4)
+
+    @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_broadcast_grid_matches_point_quadrature(self, d, k):
+        # Same grid, chunks and accumulation order as the point-array
+        # reference; only the rounding of the log densities differs.
+        spec = grid_spec(d)
+        cells = [(2, 0.5), (3, 1.0)] if d == 3 else [(a, r) for a in (2, 3, 5) for r in (0.5, 1.0, 2.0)]
+        origin = point_mixture(np.zeros(d), 1.0)
+        for alpha, ratio in cells:
+            mixture = family_mixture(MixtureFamily(d, k, ratio, 1.0))
+            for num, den in ((mixture, origin), (origin, mixture)):
+                ref = quad_renyi_points(num, den, alpha, spec)
+                assert abs(quad_renyi(num, den, alpha, spec) - ref) <= 1e-13 * abs(ref)
+
+    def test_broadcast_grid_unequal_sigmas_and_zero_weight_center(self):
+        pairs = [
+            (family_mixture(MixtureFamily(2, 1, 1.0, 1.0)), point_mixture([0.0, 0.0], 1.5)),
+            (GenericMixture(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]), np.array([0.5, 0.5, 0.0]), 1.0),
+             point_mixture([0.0, 0.0], 1.0)),
+        ]
+        pairs.append(pairs[-1][::-1])
+        for num, den in pairs:
+            ref = quad_renyi_points(num, den, 3)
+            assert abs(quad_renyi(num, den, 3) - ref) <= 1e-13 * abs(ref)
+
+    def test_peak_memory_of_a_three_dim_chunk(self):
+        # Unit: chunk cells x (centers + 1) x 8 B.  The point-array
+        # reference, with its (cells, dim) points and (cells, centers)
+        # matmuls, peaks at 6.3 units here; the broadcast grid at 1.75.
+        origin = point_mixture(np.zeros(3), 1.0)
+        mixture = family_mixture(MixtureFamily(3, 1, 1.0, 1.0))
+        spec = grid_spec(3)
+        axes = _grid_axes(origin, mixture, 2, spec)
+        tail = len(axes[1]) * len(axes[2])
+        chunk_cells = min(len(axes[0]), _GRID_CHUNK_CELLS // tail) * tail
+        tracemalloc.start()
+        try:
+            quad_renyi(origin, mixture, 2, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * chunk_cells * (len(mixture.weights) + 1) * 8
 
 
 class TestMcRenyi:
