@@ -7,7 +7,8 @@ balanced iteration subsampling against Poisson subsampling.
 
 Curve provenance per order:
 
-* ``"exact"`` -- closed form (plain Gaussian, Poisson-subsampled Gaussian).
+* ``"exact"`` -- closed form (plain Gaussian) or exact series
+  (Poisson-subsampled Gaussian, the d = 1 case of the one-hot series).
 * ``"tight"`` -- exact forward divergence paired with the reverse bound.
 * ``"loose"`` -- overlap-count forward bound paired with the reverse bound
   (either requested explicitly or forced by the enumeration cost guard).
@@ -37,8 +38,7 @@ from .rdp_math import (
     MixtureFamily,
     epsilon_loose_curve,
     epsilon_tight_curve,
-    forward_exact_k1_curve,  # bound here for perfbench/tests/test_perfbench.py's binding test (ROADMAP item 1)
-    poisson_gaussian_curve,
+    forward_exact_k1_curve,
     validate_order,
 )
 
@@ -117,7 +117,7 @@ class PoissonGaussian:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
     def _curve(self, orders, mode):
-        return poisson_gaussian_curve(self.c, self.sigma, self.gamma, orders), ("exact",) * len(orders)
+        return forward_exact_k1_curve(1, self.c, self.sigma, self.gamma, orders), ("exact",) * len(orders)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,16 @@ orders ``alpha >= 2`` this module evaluates:
 * ``forward_exact_enum``     -- exact divergence of an arbitrary small
                                 mixture, summed over index multisets with
                                 multinomial weights; guarded by n^alpha tuples.
-* ``forward_exact_k1_curve`` -- exact divergence for the one-hot (k=1)
-                                family via a truncated power series,
-                                O(alpha^2 log d) time.
+* ``forward_exact_k1_curve`` -- the one forward series kernel: exact
+                                divergence of the one-hot family at sample
+                                rate gamma, O(alpha^2 log d); gamma = 1 is
+                                the k=1 family, d = 1 the Poisson-subsampled
+                                Gaussian.
 * ``reverse_bound``          -- upper bound on the Gaussian-vs-mixture
                                 divergence: exact to quadrature accuracy and
                                 rounded up for k=1 (a Laplace-transform
                                 integral) and for small two-hot families, a
                                 sum of one-hot blocks otherwise.
-* ``poisson_gaussian_curve`` -- per-iteration Poisson-subsampled Gaussian.
 * ``forward_exact``          -- the one forward-path selector: per order the
                                 k=1 series, enumeration within the n^alpha
                                 guard, or the bound capped for k >= 2 by the
@@ -65,7 +66,6 @@ __all__ = [
     "forward_exact_enum",
     "forward_exact_k1_curve",
     "gaussian_rdp",
-    "poisson_gaussian_curve",
     "reverse_bound",
     "reverse_bound_curve",
     "validate_order",
@@ -261,32 +261,6 @@ def forward_bound(family: MixtureFamily, alpha) -> float:
     return float(forward_bound_curve(family, [alpha])[0])
 
 
-def poisson_gaussian_curve(c: float, sigma: float, gamma: float, orders) -> np.ndarray:
-    """Per-iteration divergence of the Poisson-subsampled Gaussian mechanism.
-
-    (1/(alpha-1)) log{ (1-gamma)^(alpha-1) (alpha gamma - gamma + 1)
-        + sum_{l=2..alpha} C(alpha,l) (1-gamma)^(alpha-l) gamma^l
-          exp(l(l-1) c^2/(2 sigma^2)) }
-    (Mironov, Talwar & Zhang 2019), with the l=0,1 terms folded into the
-    leading product.  One (orders x l) log-space array, so alpha=1000 with
-    c/sigma up to 10 cannot overflow.
-    """
-    a = _orders_array(orders)
-    theta = c * c / (2.0 * sigma * sigma)
-    if gamma == 1.0:
-        return theta * a  # only the full-overlap term survives
-    amax = int(a.max())
-    l = np.arange(2, amax + 1, dtype=float)
-    rest = np.maximum(a[:, None] - l, 0.0)  # alpha - l wherever l <= alpha; the rest is masked
-    log_fact = _lgamma(np.arange(amax + 1) + 1.0)  # log m! for m = 0..amax
-    log_binom = log_fact[a.astype(int)][:, None] - log_fact[2:] - log_fact[rest.astype(int)]
-    terms = log_binom + l * math.log(gamma) + rest * math.log(1.0 - gamma) + theta * l * (l - 1.0)
-    terms = np.where(l <= a[:, None], terms, -np.inf)
-    lead = (a - 1.0) * math.log(1.0 - gamma) + np.log1p(gamma * (a - 1.0))
-    eps = _logsumexp(np.column_stack([terms, lead]), axis=1) / (a - 1.0)
-    return np.maximum(eps, 0.0)
-
-
 def forward_poisson_cap_curve(family: MixtureFamily, orders) -> np.ndarray:
     """d-fold Poisson-subsampled Gaussian at rate k/d: a forward upper bound.
 
@@ -299,9 +273,10 @@ def forward_poisson_cap_curve(family: MixtureFamily, orders) -> np.ndarray:
     naturals, so the moment is at most prod_v E exp(theta m_v(m_v-1)) with
     m_v ~ Bin(alpha, k/d): the d-th power of the per-iteration Poisson
     moment.  Hence the Bis(T=d, k) forward divergence is at most d times the
-    Poisson-subsampled Gaussian curve at gamma = k/d, at every order.
+    Poisson-subsampled Gaussian curve at gamma = k/d (the series kernel at
+    d = 1), at every order.
     """
-    return family.d * poisson_gaussian_curve(family.c, family.sigma, family.k / family.d, orders)
+    return family.d * forward_exact_k1_curve(1, family.c, family.sigma, family.k / family.d, orders)
 
 
 def _forward_fallback_curve(family: MixtureFamily, orders) -> np.ndarray:
@@ -878,31 +853,36 @@ def _log_poly_mul(la: np.ndarray, lb: np.ndarray, trunc: int) -> np.ndarray:
 
 
 def _log_poly_pow(la: np.ndarray, power: int, trunc: int) -> np.ndarray:
-    """Raise a log-coefficient polynomial to an integer power, truncated."""
-    result = np.full(trunc + 1, -np.inf)
-    result[0] = 0.0  # the constant polynomial 1
-    base = la[: trunc + 1].copy()
-    e = power
-    while e:
-        if e & 1:
-            result = _log_poly_mul(result, base, trunc)
-        e >>= 1
-        if e:
-            base = _log_poly_mul(base, base, trunc)
-    return result
+    """Raise a log-coefficient polynomial to an integer power >= 1, truncated.
+
+    Binary exponentiation that starts from the base, not from the constant
+    polynomial 1: power 1 is the truncated base, with no product.
+    """
+    result, base = None, la[: trunc + 1]
+    while True:
+        if power & 1:
+            result = base if result is None else _log_poly_mul(result, base, trunc)
+        power >>= 1
+        if not power:
+            return result
+        base = _log_poly_mul(base, base, trunc)
 
 
-def forward_exact_k1_curve(d: int, c: float, sigma: float, orders) -> np.ndarray:
-    """Exact one-hot-family forward divergence for a whole vector of orders.
+def forward_exact_k1_curve(d: int, c: float, sigma: float, gamma: float, orders) -> np.ndarray:
+    """Exact forward divergence of the one-hot family at rate gamma, per order.
 
-    For k=1 the tuple sum of ``forward_exact_enum`` depends only on the
-    multiplicity profile (m_1..m_d) of the tuple, with weight
-    multinomial(alpha; m) * prod_v exp(theta m_v (m_v - 1)), theta = c^2/(2
-    sigma^2).  Regrouped, the sum is alpha! * [z^alpha] f(z)^d for
-    f(z) = sum_m z^m exp(theta m (m-1)) / m!, evaluated by log-domain
-    truncated convolutions with binary exponentiation in d: O(alpha^2 log d).
-    The truncation is exact because higher-degree terms of f cannot reach
-    the degree-alpha coefficient.
+    The mixture puts weight 1 - gamma on the origin and gamma/d on each c e_v.
+    Grouped by multiplicities, the tuple sum of ``forward_exact_enum`` is
+    alpha! [z^alpha] e^((1-gamma) z) f(gamma z / d)^d with f(z) = sum_m z^m
+    exp(theta m (m-1)) / m!, theta = c^2/(2 sigma^2).  gamma = 1 is the k=1
+    family; d = 1 is the Poisson-subsampled Gaussian (Mironov, Talwar & Zhang
+    2019, "Renyi differential privacy of the sampled Gaussian mechanism").
+    f^d comes from log-domain truncated convolutions (exact: higher terms of
+    f cannot reach degree alpha) with binary exponentiation in d, so the
+    cost is O(alpha^2 log d).  For gamma < 1 the moment sums alpha!/(alpha-j)!
+    [z^j] f^d (gamma/d)^j (1-gamma)^(alpha-j) over j; its j = 0, 1 terms fold
+    into one log1p-form lead, (1-gamma)^(alpha-1) (1 + (alpha-1) gamma), which
+    keeps epsilons near 1e-6 to full relative precision.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -910,6 +890,8 @@ def forward_exact_k1_curve(d: int, c: float, sigma: float, orders) -> np.ndarray
         raise ValueError(f"sigma must be positive, got {sigma}")
     if c < 0:
         raise ValueError(f"c must be nonnegative, got {c}")
+    if not 0 < gamma <= 1:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     a_int = np.array([validate_order(a) for a in orders])
     theta = c * c / (2.0 * sigma * sigma)
     if theta == 0.0:  # every tuple has weight 1: the divergence is exactly 0
@@ -919,8 +901,16 @@ def forward_exact_k1_curve(d: int, c: float, sigma: float, orders) -> np.ndarray
     log_fact = _lgamma(m + 1.0)  # log m! for m = 0..amax
     powered = _log_poly_pow(theta * m * (m - 1.0) - log_fact, d, amax)
     a = a_int.astype(float)
-    out = (log_fact[a_int] + powered[a_int] - a * math.log(d)) / (a - 1.0)
-    return np.maximum(out, 0.0)
+    if gamma == 1.0:
+        log_moment = log_fact[a_int] + powered[a_int] - a * math.log(d)
+    else:
+        j = m[2:]
+        rest = np.maximum(a[:, None] - j, 0.0)  # alpha - j wherever j <= alpha; the rest is masked
+        terms = log_fact[a_int][:, None] - log_fact[rest.astype(int)] + powered[2:]
+        terms += j * (math.log(gamma) - math.log(d)) + rest * math.log1p(-gamma)
+        lead = (a - 1.0) * math.log1p(-gamma) + np.log1p(gamma * (a - 1.0))
+        log_moment = _logsumexp(np.column_stack([np.where(j <= a[:, None], terms, -np.inf), lead]), axis=1)
+    return np.maximum(log_moment / (a - 1.0), 0.0)
 
 
 def epsilon_loose_curve(family: MixtureFamily, orders) -> np.ndarray:
@@ -945,7 +935,7 @@ def forward_exact(family: MixtureFamily, orders):
     """
     a_list = [validate_order(a) for a in orders]
     if family.k == 1:
-        return forward_exact_k1_curve(family.d, family.c, family.sigma, a_list), ("k1-series",) * len(a_list)
+        return forward_exact_k1_curve(family.d, family.c, family.sigma, 1.0, a_list), ("k1-series",) * len(a_list)
     # Log-space estimate first: avoids huge exact binomials for large d.
     log_n = float(log_comb(family.d, family.k))
     fits = [a * log_n <= math.log(ENUM_TUPLE_LIMIT) + 1e-9 for a in a_list]

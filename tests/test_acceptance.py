@@ -278,7 +278,7 @@ def test_criterion_08_exact_path_equivalence():
     for d in range(1, 7):
         for alpha in range(2, 7):
             for ratio in (0.5, 1.0, 2.0):
-                series = forward_exact_k1_curve(d, ratio, 1.0, [alpha])[0]
+                series = forward_exact_k1_curve(d, ratio, 1.0, 1.0, [alpha])[0]
                 enum = forward_exact_enum(family_mixture(MixtureFamily(d, 1, ratio, 1.0)), alpha)
                 worst_series = max(worst_series, abs(series - enum) / max(1e-12, abs(enum)))
     worst_order2 = 0.0
@@ -287,7 +287,7 @@ def test_criterion_08_exact_path_equivalence():
             for ratio in (0.5, 1.0, 2.0):
                 family = MixtureFamily(d, k, ratio, 1.0)
                 exact = (
-                    forward_exact_k1_curve(d, ratio, 1.0, [2])[0]
+                    forward_exact_k1_curve(d, ratio, 1.0, 1.0, [2])[0]
                     if k == 1
                     else forward_exact_enum(family_mixture(family), 2)
                 )

@@ -85,7 +85,7 @@ def test_scale_invariance(family, alpha, t):
 def test_exact_forward_below_bound(family, alpha):
     assume(family.k == 1 or math.comb(family.d, family.k) ** alpha <= 10**7)
     exact = (
-        forward_exact_k1_curve(family.d, family.c, family.sigma, [alpha])[0]
+        forward_exact_k1_curve(family.d, family.c, family.sigma, 1.0, [alpha])[0]
         if family.k == 1
         else forward_exact_enum(family_mixture(family), alpha)
     )
@@ -102,7 +102,7 @@ def test_tight_below_loose(family, alpha):
 @given(small_families)
 def test_order2_bound_is_exact(family):
     exact = (
-        forward_exact_k1_curve(family.d, family.c, family.sigma, [2])[0]
+        forward_exact_k1_curve(family.d, family.c, family.sigma, 1.0, [2])[0]
         if family.k == 1
         else forward_exact_enum(family_mixture(family), 2)
     )
@@ -127,6 +127,8 @@ def test_poisson_below_gaussian_and_monotone(sigma, gamma, count, alpha):
     sub = rdp_curve(PoissonGaussian(c=1, sigma=sigma, gamma=gamma), orders=(alpha,))
     plain = rdp_curve(Gaussian(c=1, sigma=sigma), orders=(alpha,))
     assert sub.epsilons[0] <= plain.epsilons[0] + 1e-9
+    doubled = rdp_curve(PoissonGaussian(c=1, sigma=sigma, gamma=min(1.0, 2 * gamma)), orders=(alpha,))
+    assert sub.epsilons[0] <= doubled.epsilons[0] * (1 + 1e-12)
     assert scale_curve(sub, count).epsilons[0] == pytest.approx(count * sub.epsilons[0], rel=1e-12)
 
 

@@ -20,7 +20,6 @@ from amplify_acct.rdp_math import (
     forward_exact,
     forward_exact_enum,
     gaussian_rdp,
-    poisson_gaussian_curve,
     reverse_bound,
     reverse_bound_curve,
     validate_order,
@@ -298,7 +297,7 @@ class TestPoissonGaussianCurve:
         # Reference: the binomial sum term by term, one order at a time.
         orders = (2, 3, 17, 100)
         theta = 1.0 / (2 * sigma * sigma)
-        for alpha, value in zip(orders, poisson_gaussian_curve(1.0, sigma, gamma, orders)):
+        for alpha, value in zip(orders, forward_exact_k1_curve(1, 1.0, sigma, gamma, orders)):
             terms = [
                 math.log(math.comb(alpha, l)) + l * math.log(gamma) + theta * l * (l - 1)
                 + ((alpha - l) * math.log1p(-gamma) if alpha > l else 0.0)
@@ -308,6 +307,29 @@ class TestPoissonGaussianCurve:
             top = max(terms)
             expected = (top + math.log(math.fsum(math.exp(t - top) for t in terms))) / (alpha - 1)
             assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("sigma", [1.0, 3.0, 8.0])
+    def test_small_rates_match_mpmath(self, gamma, sigma):
+        # At these rates the epsilon is a small difference of terms of order
+        # alpha gamma; log(1 - gamma) rounded in double precision, instead of
+        # log1p(-gamma), is off by up to 3e-5 relative on it.
+        orders = (2, 8, 32, 100)
+        for alpha, value in zip(orders, forward_exact_k1_curve(1, 1.0, sigma, gamma, orders)):
+            expected = poisson_epsilon_mpmath(gamma, sigma, alpha)
+            assert abs(value - expected) <= 1e-9 * expected
+
+
+def poisson_epsilon_mpmath(gamma, sigma, alpha, dps=50):
+    """Poisson-subsampled Gaussian epsilon (c = 1) from the binomial sum in ``dps``-digit arithmetic."""
+    import mpmath as mp
+
+    mp.mp.dps = dps
+    g, theta = mp.mpf(gamma), 1 / (2 * mp.mpf(sigma) ** 2)
+    total = mp.fsum(
+        mp.binomial(alpha, l) * (1 - g) ** (alpha - l) * g**l * mp.exp(theta * l * (l - 1)) for l in range(alpha + 1)
+    )
+    return float(mp.log(total) / (alpha - 1))
 
 
 class TestPoissonCap:
@@ -383,23 +405,36 @@ class TestForwardExactEnum:
 
 class TestForwardExactK1:
     def test_single_block_reduces_to_gaussian(self):
-        assert forward_exact_k1_curve(1, 1, 1, [5])[0] == pytest.approx(2.5, abs=1e-12)
+        assert forward_exact_k1_curve(1, 1, 1, 1.0, [5])[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_matches_enum_small(self):
-        assert forward_exact_k1_curve(2, 1, 1, [3])[0] == pytest.approx(0.5 * math.log((E**3 + 3 * E) / 4), rel=1e-10)
+        assert forward_exact_k1_curve(2, 1, 1, 1.0, [3])[0] == pytest.approx(0.5 * math.log((E**3 + 3 * E) / 4), rel=1e-10)
 
     def test_order2_closed_form(self):
-        assert forward_exact_k1_curve(5, 1, 1, [2])[0] == pytest.approx(math.log((E + 4) / 5), rel=1e-12)
+        assert forward_exact_k1_curve(5, 1, 1, 1.0, [2])[0] == pytest.approx(math.log((E + 4) / 5), rel=1e-12)
 
     @pytest.mark.parametrize("d,alpha", [(2, 2), (3, 4), (4, 6), (6, 5), (5, 8), (2, 20), (3, 12)])
     def test_matches_enumeration_grid(self, d, alpha):
         for ratio in (0.5, 1.0, 2.0):
-            series = forward_exact_k1_curve(d, ratio, 1.0, [alpha])[0]
+            series = forward_exact_k1_curve(d, ratio, 1.0, 1.0, [alpha])[0]
             enum = forward_exact_enum(family_mixture(MixtureFamily(d, 1, ratio, 1.0)), alpha)
             assert series == pytest.approx(enum, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_subsampled_split_matches_enumeration(self, d):
+        # Weight 1 - gamma on the origin and gamma/d on each c e_v, at every
+        # order whose (d + 1)^alpha tuples fit the enumeration budget.
+        orders = [alpha for alpha in range(2, 9) if (d + 1) ** alpha <= rdp_math.ENUM_TUPLE_LIMIT]
+        centers = np.vstack([np.zeros(d), np.eye(d)])
+        for gamma in (0.05, 0.3, 0.9):
+            weights = np.concatenate([[1.0 - gamma], np.full(d, gamma / d)])
+            for sigma in (0.7, 1.0, 2.0):
+                mixture = GenericMixture(centers, weights, sigma)
+                for alpha, value in zip(orders, forward_exact_k1_curve(d, 1.0, sigma, gamma, orders)):
+                    assert value == pytest.approx(forward_exact_enum(mixture, alpha), rel=1e-11)
+
     def test_large_d_high_order_is_cheap_and_finite(self):
-        value = forward_exact_k1_curve(10**6, 1, 1, [100])[0]
+        value = forward_exact_k1_curve(10**6, 1, 1, 1.0, [100])[0]
         assert math.isfinite(value) and 0 <= value
         # Well below the unamplified Gaussian value.
         assert value < gaussian_rdp(1, 1, 100)
@@ -407,14 +442,14 @@ class TestForwardExactK1:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 1000, 10**6])
     def test_zero_scale_is_exactly_zero(self, d):
-        assert np.all(forward_exact_k1_curve(d, 0.0, 1.0, range(2, 1001)) == 0.0)
+        assert np.all(forward_exact_k1_curve(d, 0.0, 1.0, 1.0, range(2, 1001)) == 0.0)
 
     @pytest.mark.parametrize("d", [2, 8, 1000, 10**6])
     @pytest.mark.parametrize("ratio", [0.125, 1.0, 2.0])
     def test_matches_mpmath_power_series(self, d, ratio):
         orders = (2, 10, 100)
         coeffs = k1_power_series_mpmath(d, ratio, max(orders))
-        for alpha, value in zip(orders, forward_exact_k1_curve(d, ratio, 1.0, orders)):
+        for alpha, value in zip(orders, forward_exact_k1_curve(d, ratio, 1.0, 1.0, orders)):
             expected = k1_epsilon_mpmath(coeffs, d, alpha)
             # The absolute floor covers the cancellation in
             # lgamma(alpha + 1) + log coefficient - alpha log d near 0.
@@ -448,17 +483,9 @@ class TestLogKernels:
     def test_poisson_curve_of_tiny_epsilons_matches_mpmath(self):
         # Per-iteration epsilons near 1e-6: the terms after the largest sum to
         # ~1e-6 of it, which only the log1p form keeps to 1e-11.
-        import mpmath as mp
-
-        mp.mp.dps = 40
-        gamma, theta = mp.mpf(0.01), mp.mpf(1) / 128
         orders = range(2, 101)
-        for alpha, value in zip(orders, poisson_gaussian_curve(1.0, 8.0, 0.01, orders)):
-            total = mp.fsum(
-                mp.binomial(alpha, l) * (1 - gamma) ** (alpha - l) * gamma**l * mp.exp(theta * l * (l - 1))
-                for l in range(alpha + 1)
-            )
-            expected = float(mp.log(total) / (alpha - 1))
+        for alpha, value in zip(orders, forward_exact_k1_curve(1, 1.0, 8.0, 0.01, orders)):
+            expected = poisson_epsilon_mpmath(0.01, 8.0, alpha, dps=40)
             assert abs(value - expected) <= 1e-11 * expected
 
     def test_logsumexp_all_minus_inf_rows(self):
@@ -521,7 +548,7 @@ class TestForwardExactSelector:
     def test_one_hot_family_takes_the_series(self):
         values, rules = forward_exact(MixtureFamily(7, 1, 1.3, 0.9), [2, 5, 40])
         assert rules == ("k1-series",) * 3
-        assert values.tolist() == forward_exact_k1_curve(7, 1.3, 0.9, [2, 5, 40]).tolist()
+        assert values.tolist() == forward_exact_k1_curve(7, 1.3, 0.9, 1.0, [2, 5, 40]).tolist()
 
 
 class TestEpsilonTightLoose:
