@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,22 @@ from amplify_acct.rdp_math import (
     validate_order,
 )
 from amplify_acct.rdp_math import (
+    _ENUM_CHUNK,
     _forward_fallback_curve,
     _logsumexp,
+    _multiset_columns,
     _TwoHotReverse,
     forward_exact_k1_curve,
     forward_poisson_cap_curve,
     log_comb,
 )
 from amplify_acct import rdp_math
-from reference_formulas import DivergenceUndefinedError, gaussian_rdp_same_mean, reverse_bound_paper
+from reference_formulas import (
+    DivergenceUndefinedError,
+    forward_exact_enum_itertools,
+    gaussian_rdp_same_mean,
+    reverse_bound_paper,
+)
 
 E = math.e
 
@@ -401,6 +409,52 @@ class TestForwardExactEnum:
         centers = np.array([[1.0], [50.0]])
         mixture = GenericMixture(centers, np.array([1.0, 0.0]), 1.0)
         assert forward_exact_enum(mixture, 3) == pytest.approx(gaussian_rdp(1, 1, 3), rel=1e-12)
+
+    @pytest.mark.parametrize("n,length", [(1, 1), (1, 4), (5, 1), (4, 3), (7, 4), (12, 2)])
+    def test_multiset_columns_are_the_sorted_tuples(self, n, length):
+        rows = np.column_stack(_multiset_columns(n, length))
+        assert rows.tolist() == [list(t) for t in itertools.combinations_with_replacement(range(n), length)]
+
+    def test_bit_identical_to_itertools_enumeration(self):
+        cases = []
+        # Bis(T=10, k=4): 210 centers.  At alpha = 3 its 1,565,620 multisets
+        # take 12 chunks; 10 of the 11 chunk boundaries fall inside one
+        # prefix's run of last entries, and one at the end of a run.
+        for sigma in (1.5, 2.0, 2.5, 3.0):
+            mixture = family_mixture(MixtureFamily(10, 4, 1.0, sigma))
+            cases += [(mixture, alpha) for alpha in (2, 3)]
+        # Every order inside the n^alpha guard; C(2,2) = 1 center at every order.
+        for (d, k), max_order in {(5, 2): 9, (6, 3): 9, (7, 3): 9, (4, 2): 9, (2, 2): 12, (80, 1): 3}.items():
+            mixture = family_mixture(MixtureFamily(d, k, 1.3, 1.1))
+            n = math.comb(d, k)
+            cases += [(mixture, alpha) for alpha in range(2, max_order + 1) if n**alpha <= rdp_math.ENUM_TUPLE_LIMIT]
+        cases += [(GenericMixture(np.array([[0.7, -0.2]]), np.ones(1), 0.8), alpha) for alpha in (2, 5, 9)]
+        # Unequal weights, zero weights and duplicated centers.
+        rng = np.random.default_rng(20261019)
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            centers = rng.normal(scale=1.1, size=(n, int(rng.integers(1, 4))))
+            centers[rng.integers(n)] = centers[rng.integers(n)]
+            weights = rng.random(n) * (rng.random(n) > 0.2)
+            weights[rng.integers(n)] += 0.1
+            weights /= weights.sum()
+            mixture = GenericMixture(centers, weights, float(rng.uniform(0.6, 2.5)))
+            cases += [(mixture, alpha) for alpha in range(2, 7) if n**alpha <= rdp_math.ENUM_TUPLE_LIMIT]
+        assert len(cases) > 60
+        for mixture, alpha in cases:
+            assert forward_exact_enum(mixture, alpha) == forward_exact_enum_itertools(mixture, alpha)
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        # 1,565,620 multisets of 3 indices; building them all at once would
+        # hold about 125 MB.  Chunked, the working set is a few chunk arrays.
+        mixture = family_mixture(MixtureFamily(10, 4, 1.0, 2.0))
+        tracemalloc.start()
+        try:
+            forward_exact_enum(mixture, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * _ENUM_CHUNK * 8
 
 
 class TestForwardExactK1:
