@@ -439,14 +439,14 @@ class TestForwardExactEnum:
             weights[rng.integers(n)] += 0.1
             weights /= weights.sum()
             mixture = GenericMixture(centers, weights, float(rng.uniform(0.6, 2.5)))
-            cases += [(mixture, alpha) for alpha in range(2, 7) if n**alpha <= rdp_math.ENUM_TUPLE_LIMIT]
+            cases += [(mixture, alpha) for alpha in range(2, 7)]
         assert len(cases) > 60
         for mixture, alpha in cases:
             assert forward_exact_enum(mixture, alpha) == forward_exact_enum_itertools(mixture, alpha)
 
     def test_peak_memory_is_bounded_by_the_chunk(self):
-        # 1,565,620 multisets of 3 indices; building them all at once would
-        # hold about 125 MB.  Chunked, the working set is a few chunk arrays.
+        # 1,565,620 multisets of 3 indices: as one chunk the call peaks near
+        # 104 MB.  Chunked, the working set is a few chunk arrays.
         mixture = family_mixture(MixtureFamily(10, 4, 1.0, 2.0))
         tracemalloc.start()
         try:
