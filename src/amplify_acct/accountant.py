@@ -203,12 +203,11 @@ class Bis:
         return _split_family_curve(MixtureFamily(d=self.T, k=self.k, c=self.c, sigma=self.sigma), orders, mode)
 
 
-MechanismSpec = Union[Gaussian, PoissonGaussian, ModelSplit, MixtureSplit, DropoutSplit, PartialSplit, Bis]
-
 # Every mechanism, in CLI order.  Each class carries its CLI name
 # (``cli_name``; ``curve_flag`` where the ``curve`` command's flag differs)
 # and ``_curve(orders, mode) -> (epsilons, provenance)``.
 MECHANISMS = (Gaussian, PoissonGaussian, ModelSplit, MixtureSplit, DropoutSplit, PartialSplit, Bis)
+MechanismSpec = Union[MECHANISMS]
 
 
 def spec_params(cls) -> dict:

@@ -12,17 +12,17 @@ Subcommands:
 
 Mechanisms come from ``accountant.MECHANISMS``: ``--mech`` takes each
 entry's CLI name and reads its fields from the flags of the same name
-(``--c-split`` for ``c_split``; ``--c`` is 1 unless given) and refuses
-the field flags of other entries; ``curve`` has one repeatable flag per
-entry (``--poisson`` for ``poisson-gaussian``) taking ``key=value`` pairs
-named after the fields plus ``count``, with ``c`` and ``sigma`` defaulting
-to ``--c`` and ``--sigma``.  A missing, repeated or unknown key exits 2.
-A new table entry appears here with no code change (a new field name
-also needs its flag in ``_add_mech_flags``).  The only special case is
-``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.  ``calibrate``
-takes no ``--sigma``: it searches for sigma.  ``simulate`` refuses
-``--gamma``, ``--k``, ``--d`` and ``--hidden`` where its schedule or mode
-does not use them.
+(``--c-split`` for ``c_split``; ``--c`` is 1 unless given), one flag per
+field name across the table, and refuses the field flags of other
+entries; ``curve`` has one repeatable flag per entry (``--poisson`` for
+``poisson-gaussian``) taking ``key=value`` pairs named after the fields
+plus ``count``, with ``c`` and ``sigma`` defaulting to ``--c`` and
+``--sigma``.  A missing, repeated or unknown key exits 2.  A new table
+entry, or a new field, appears here with no code change.  The only special
+case is ``--poisson RATE`` on ``gaussian``, the subsampled Gaussian.
+``calibrate`` takes no ``--sigma``: it searches for sigma.  ``simulate``
+refuses ``--gamma``, ``--k``, ``--d`` and ``--hidden`` where its schedule
+or mode does not use them.
 
 A JSON config file (``--config``) holds one object per command name;
 explicit flags override config values (a repeatable flag replaces the
@@ -50,10 +50,9 @@ bracket endpoints, label of the calibrated mechanism, config, version.
 followed by one JSON record per check: ``check`` (sandwich /
 offset-identity / alpha2-tightness / dim-reduction), the family fields
 (d, k, c, sigma), alpha, the computed quantities, and ``ok``; failing
-records are reprinted after a ``#`` summary line.  A check named in
-``--checks`` that fits none of the families (each too large for it) exits
-2 before any check runs; without ``--checks``, each family skips the checks
-it is too large for.
+records are reprinted after a ``#`` summary line.  Each family skips the
+checks it is too large for (``oracles.CHECK_MAX_D``); a check named in
+``--checks`` that fits none of the families exits 2 before any check runs.
 
 ``simulate`` writes ``trace.jsonl`` (one record per iteration: iteration,
 participants, assignment_counts, max/mean clipped norm, noise_norm, loss,
@@ -83,6 +82,7 @@ from .accountant import (
     to_dp,
 )
 from .oracles import (
+    CHECK_MAX_D,
     McSpec,
     forward_exact_value,
     grid_spec,
@@ -108,6 +108,9 @@ EXIT_CONFIG = 2
 
 _MECHS = {cls.cli_name: cls for cls in MECHANISMS}
 _CURVE_FLAGS = {cls: getattr(cls, "curve_flag", cls.cli_name) for cls in MECHANISMS}
+# Every field name of the table and its type, one flag each in epsilon and
+# calibrate; sigma is each command's own (calibrate searches for it).
+_FIELDS = {name: kind for cls in MECHANISMS for name, kind in spec_params(cls).items() if name != "sigma"}
 
 
 class CliError(Exception):
@@ -134,8 +137,8 @@ def _build_mechanism(args) -> object:
             "and no divergence bound for that nested mixture is implemented; refusing"
         )
     params = spec_params(_MECHS[mech])
-    # Field flags are None unless set (every mechanism has a sigma).
-    others = sorted({name for cls in MECHANISMS for name in spec_params(cls)} - set(params))
+    # Field flags are None unless set.
+    others = sorted(set(_FIELDS) - set(params))
     stray = [_flag(name) for name in others if getattr(args, name) is not None]
     if stray:
         raise CliError(f"{mech} takes no {', '.join(stray)}")
@@ -297,9 +300,6 @@ def _default_verify_grid():
 
 
 _CHECKS = ("sandwich", "offset", "dimred", "alpha2")
-# Largest family d these checks run on; other families skip them, and a
-# requested check that no family fits is refused.
-_CHECK_MAX_D = {"offset": 4, "dimred": 2}
 # Report fields the verify records leave out: the family is spread into its
 # own keys, and the tolerances and combined stderr stay internal.
 _REPORT_SKIP = ("family", "tol_forward", "tol_reverse", "stderr")
@@ -320,9 +320,9 @@ def cmd_verify(args) -> int:
     alphas = tuple(validate_order(alpha) for alpha in args.alpha) if args.alpha else (2, 3, 5)
     if args.checks is not None:
         smallest = min(family.d for family in families)
-        unfit = [name for name in checks if name in _CHECK_MAX_D and smallest > _CHECK_MAX_D[name]]
+        unfit = [name for name in checks if smallest > CHECK_MAX_D.get(name, smallest)]
         if unfit:
-            limits = ", ".join(f"{name} d <= {_CHECK_MAX_D[name]}" for name in unfit)
+            limits = ", ".join(f"{name} d <= {CHECK_MAX_D[name]}" for name in unfit)
             raise CliError(
                 f"requested checks {','.join(checks)} ({limits}): no family fits {', '.join(unfit)}; nothing was checked"
             )
@@ -330,20 +330,21 @@ def cmd_verify(args) -> int:
 
     records = []
     for family in families:
+        fits = [name for name in checks if family.d <= CHECK_MAX_D.get(name, family.d)]
         quad = grid_spec(family.d)
         for alpha in alphas:
-            if "sandwich" in checks:
+            if "sandwich" in fits:
                 records.append(_record("sandwich", family, verify_sandwich(family, alpha, quad, mc)))
-            if "offset" in checks and family.d <= _CHECK_MAX_D["offset"]:
+            if "offset" in fits:
                 records.append(_record("offset-identity", family, verify_offset_identity(family, alpha, quad, mc)))
-        if "alpha2" in checks:
+        if "alpha2" in fits:
             # Order 2 whatever the --alpha list: one record per family.
             exact2 = forward_exact_value(family, 2)
             bound2 = forward_bound(family, 2)
             ok = abs(exact2 - bound2) <= 1e-9 * max(1.0, abs(bound2))
             fields = {"alpha": 2, "forward_exact": exact2, "forward_bound": bound2, "ok": ok}
             records.append({"check": "alpha2-tightness", **dataclasses.asdict(family), **fields})
-        if "dimred" in checks and family.d <= _CHECK_MAX_D["dimred"]:
+        if "dimred" in fits:
             centers = family_mixture(family).centers
             for alpha in alphas:
                 records.append(_record("dim-reduction", family, verify_dim_reduction(centers, family.sigma, alpha)))
@@ -408,11 +409,8 @@ def cmd_simulate(args) -> int:
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
         trace.write_jsonl(os.path.join(args.out_dir, "trace.jsonl"))
-        summary = trace.summary_dict()
-        summary.update({"tool": "amplify-acct", "version": __version__, "cli_config": _resolved_config(args)})
-        with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path = os.path.join(args.out_dir, "summary.json")
+        trace.write_summary(path, tool="amplify-acct", version=__version__, cli_config=_resolved_config(args))
 
     diag = trace.diagnostics()
     print(f"iterations = {config.T}, samples = {args.n}")
@@ -431,13 +429,10 @@ def cmd_simulate(args) -> int:
 
 def _add_mech_flags(parser) -> None:
     parser.add_argument("--mech", required=True, choices=tuple(_MECHS))
-    parser.add_argument("--c", type=float, default=None, help="clipping norm (default 1 where the mechanism has one)")
-    parser.add_argument("--gamma", type=float, default=None, help="poisson-gaussian sampling rate")
-    parser.add_argument("--d", type=int, default=None, help="submodel count")
-    parser.add_argument("--T", type=int, default=None, help="bis: total iterations")
-    parser.add_argument("--k", type=int, default=None, help="bis: participations per sample")
-    parser.add_argument("--c-split", dest="c_split", type=float, default=None)
-    parser.add_argument("--c-nonsplit", dest="c_nonsplit", type=float, default=None)
+    for name, kind in _FIELDS.items():
+        mechs = ", ".join(cls.cli_name for cls in MECHANISMS if name in spec_params(cls))
+        note = " (default 1)" if name == "c" else ""
+        parser.add_argument(_flag(name), dest=name, type=kind, default=None, help=f"for {mechs}{note}")
     parser.add_argument("--poisson", type=float, default=None, help="extra data-subsampling rate (gaussian only)")
     parser.add_argument("--count", type=int, default=1, help="sequential repetitions")
     parser.add_argument("--mode", choices=("tight", "loose"), default="tight")

@@ -53,6 +53,7 @@ from .rdp_math import (
 )
 
 __all__ = [
+    "CHECK_MAX_D",
     "DimReductionReport",
     "McEstimate",
     "McSpec",
@@ -73,6 +74,11 @@ __all__ = [
 
 _MC_CHUNK = 1 << 20
 _GRID_CHUNK_CELLS = 1 << 21
+
+# Largest family d each check runs on (``dimred``: before the padding
+# coordinate).  ``verify_sandwich``, ``verify_offset_identity`` and
+# ``verify_dim_reduction`` refuse larger ones; ``verify`` skips them.
+CHECK_MAX_D = {"sandwich": 4, "offset": 4, "dimred": 2}
 
 
 @dataclass(frozen=True)
@@ -113,21 +119,16 @@ def grid_spec(dim: int) -> QuadratureSpec:
 class McSpec:
     """Sampling parameters for the Monte-Carlo divergence estimate.
 
-    ``proposal`` picks which side the samples are drawn from; callers
-    default it to the side whose likelihood-ratio tails are lighter
-    (the denominator for mixture-vs-Gaussian, the numerator for
-    Gaussian-vs-mixture).
+    The side the samples are drawn from is not a parameter: ``mc_renyi``
+    draws from the side with fewer centers, the denominator on a tie.
     """
 
     n_samples: int = 10_000_000
     seed: int = 0
-    proposal: str = "denominator"
 
     def __post_init__(self):
         if self.n_samples < 100_000:
             raise ValueError(f"n_samples must be >= 1e5, got {self.n_samples}")
-        if self.proposal not in ("numerator", "denominator"):
-            raise ValueError(f"proposal must be 'numerator' or 'denominator', got {self.proposal!r}")
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,9 @@ def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: Quadra
 def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec | None = None) -> McEstimate:
     """Importance-sampling Monte-Carlo divergence estimate with stderr.
 
-    Log-mean-exp of the integrand over draws from the proposal side; the
+    Log-mean-exp of the integrand over draws from the proposal side: the
+    side with fewer centers, whose likelihood-ratio tails are lighter (the
+    Gaussian against a mixture), and the denominator on a tie.  The
     standard error comes from the delta method.  Estimates whose stderr
     exceeds 10% of the estimate (above a 1e-4 absolute floor) carry
     low_confidence=True rather than failing silently.
@@ -303,7 +306,8 @@ def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec |
         raise ValueError("mixtures must share a dimension")
     if m_num.dim > 6:
         raise ValueError(f"dimension {m_num.dim} too high for Monte Carlo variance control (max 6)")
-    prop = m_num if spec.proposal == "numerator" else m_den
+    numerator = len(m_num.weights) < len(m_den.weights)
+    prop = m_num if numerator else m_den
 
     rng = np.random.Generator(np.random.Philox(spec.seed))
     shift = -np.inf
@@ -315,7 +319,7 @@ def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec |
         x = sample_mixture(prop, b, rng)
         log_num = mixture_logpdf(m_num, x)
         log_den = mixture_logpdf(m_den, x)
-        w = a * log_num + (1 - a) * log_den - (log_num if prop is m_num else log_den)
+        w = a * log_num + (1 - a) * log_den - (log_num if numerator else log_den)
         m = float(w.max())
         if m > shift:
             scale = math.exp(shift - m) if shift > -np.inf else 0.0
@@ -330,7 +334,7 @@ def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec |
     estimate = (shift + math.log(mean_u)) / (a - 1)
     stderr = math.sqrt(var_u / n) / mean_u / (a - 1)
     low_confidence = stderr > max(0.1 * abs(estimate), 1e-4)
-    return McEstimate(estimate, stderr, n, spec.proposal, low_confidence)
+    return McEstimate(estimate, stderr, n, "numerator" if numerator else "denominator", low_confidence)
 
 
 def forward_exact_value(family: MixtureFamily, alpha) -> float:
@@ -341,11 +345,11 @@ def forward_exact_value(family: MixtureFamily, alpha) -> float:
     return float(value)
 
 
-def _oracle_divergence(m_num, m_den, alpha, quad_spec, mc_spec, proposal):
+def _oracle_divergence(m_num, m_den, alpha, quad_spec, mc_spec):
     """Quadrature when the grid allows it, Monte Carlo otherwise."""
     if m_num.dim <= quad_spec.max_dim_grid:
         return quad_renyi(m_num, m_den, alpha, quad_spec), 0.0
-    est = mc_renyi(m_num, m_den, alpha, McSpec(mc_spec.n_samples, mc_spec.seed, proposal))
+    est = mc_renyi(m_num, m_den, alpha, mc_spec)
     return est.estimate, est.stderr
 
 
@@ -393,21 +397,21 @@ def verify_sandwich(
 ) -> SandwichReport:
     """Check oracle <= exact forward <= forward bound and the reverse side.
 
-    Small instances only (d <= 4, at most 6 mixture centers, an order with an
-    exact forward path; else an error before any oracle runs).  Failures are
+    Small instances only (d <= ``CHECK_MAX_D["sandwich"]`` and an order with
+    an exact forward path; else an error before any oracle runs).  Failures are
     recorded in the report, never raised.
     """
     a = validate_order(alpha)
     quad_spec = quad_spec or QuadratureSpec()
     mc_spec = mc_spec or McSpec()
-    if family.d > 4 or math.comb(family.d, family.k) > 6:
-        raise ValueError("sandwich verification is limited to d <= 4 with at most 6 centers")
+    if family.d > CHECK_MAX_D["sandwich"]:
+        raise ValueError(f"sandwich verification is limited to d <= {CHECK_MAX_D['sandwich']}")
 
     fwd_exact = forward_exact_value(family, a)
     mixture = family_mixture(family)
     origin = point_mixture(np.zeros(family.d), family.sigma)
-    fwd_oracle, fwd_se = _oracle_divergence(mixture, origin, a, quad_spec, mc_spec, "denominator")
-    rev_oracle, rev_se = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec, "numerator")
+    fwd_oracle, fwd_se = _oracle_divergence(mixture, origin, a, quad_spec, mc_spec)
+    rev_oracle, rev_se = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec)
 
     fwd_bound = forward_bound(family, a)
     rev_bound = reverse_bound(family, a)
@@ -466,17 +470,17 @@ def verify_offset_identity(
     a = validate_order(alpha)
     quad_spec = quad_spec or QuadratureSpec()
     mc_spec = mc_spec or McSpec()
-    if family.d > 4:
-        raise ValueError("offset identity verification is limited to d <= 4")
+    if family.d > CHECK_MAX_D["offset"]:
+        raise ValueError(f"offset identity verification is limited to d <= {CHECK_MAX_D['offset']}")
     d, k, c, sigma = family.d, family.k, family.c, family.sigma
 
     mixture = family_mixture(family)
     origin = point_mixture(np.zeros(d), sigma)
     avg = point_mixture(np.full(d, c * k / d), sigma)
 
-    lhs, lhs_se = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec, "numerator")
+    lhs, lhs_se = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec)
     shift_term = gaussian_rdp(c * k / math.sqrt(d), sigma, a)
-    tail_term, tail_se = _oracle_divergence(avg, mixture, a, quad_spec, mc_spec, "numerator")
+    tail_term, tail_se = _oracle_divergence(avg, mixture, a, quad_spec, mc_spec)
 
     stderr = math.sqrt(lhs_se**2 + tail_se**2)
     tol = max(1e-3, 3.0 * stderr)
@@ -512,8 +516,8 @@ def verify_dim_reduction(centers_lowdim, sigma: float, alpha) -> DimReductionRep
     a = validate_order(alpha)
     centers = np.atleast_2d(np.asarray(centers_lowdim, dtype=float))
     low_dim = centers.shape[1]
-    if low_dim + 1 > 3:
-        raise ValueError("dimension reduction check is limited to embedded dimension <= 3")
+    if low_dim > CHECK_MAX_D["dimred"]:
+        raise ValueError(f"dimension reduction check is limited to embedded dimension <= {CHECK_MAX_D['dimred'] + 1}")
     quad_spec = grid_spec(low_dim + 1)
 
     n = len(centers)

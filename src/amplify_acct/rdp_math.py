@@ -99,13 +99,8 @@ def _logsumexp(a, axis=None):
     is how many entries equal top.  Summing the rest through log1p keeps
     full relative precision when they are tiny next to the top, which a
     plain top + log(sum) loses.  Rows whose entries are all -inf give -inf.
-    Over an axis of length 1 the sum is the entry itself; the general path
-    would compute log1p(0) + log(1) + top = 0.0 + top, and so does the early
-    return, bit for bit (-0.0 becomes 0.0), into a fresh array.
     """
     a = np.asarray(a, dtype=float)
-    if axis is not None and a.shape[axis] == 1:
-        return np.squeeze(a, axis=axis) + 0.0
     top = np.max(a, axis=axis, keepdims=True)
     is_top = a == top
     count = np.sum(is_top, axis=axis, keepdims=True)
@@ -120,16 +115,12 @@ def _lgamma_one(v: float) -> float:
     return math.inf if v <= 0.0 and v.is_integer() else math.lgamma(v)
 
 
-_lgamma_each = np.frompyfunc(_lgamma_one, 1, 1)
-
-
 def _lgamma(x) -> np.ndarray:
-    """log|Gamma(x)| elementwise, by ``math.lgamma`` once per distinct value."""
+    """log|Gamma(x)| elementwise, by ``math.lgamma``."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return np.float64(_lgamma_one(float(x)))
-    values, inverse = np.unique(x, return_inverse=True)
-    return _lgamma_each(values).astype(float)[inverse.ravel()].reshape(x.shape)
+    return np.array([_lgamma_one(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 def log_comb(n, k):
@@ -714,14 +705,12 @@ def _two_hot_reverse_exact(d: int, s: float, orders: tuple) -> tuple:
 
 
 def _one_hot_reverse(b: int, s: float, theta: float, a: np.ndarray) -> np.ndarray:
-    """Reverse divergence of a one-hot block of size b, per order in a.
+    """Reverse divergence of a one-hot block of size b >= 2, per order in a.
 
     The quadrature value (cached on (b, s, orders)) rounded up by
     _REV_SLACK, capped by the AM-GM bound; the AM-GM bound alone above
     c/sigma = _REV_S_MAX.
     """
-    if b == 1:
-        return a * theta  # a single Gaussian at shift c
     # AM-GM on S: E[S^-m] <= prod_v E[Y_v^(-m/b)].  Above the exact value,
     # and equal to it to leading order once alpha s^2 / b is large.
     am_gm = (a + b - 1.0) * theta / b

@@ -312,9 +312,10 @@ class SimTrace:
             for record in self.records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def write_summary(self, path) -> None:
+    def write_summary(self, path, **extra) -> None:
+        """``summary_dict()`` plus the ``extra`` keys, as indented JSON with sorted keys."""
         with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
+            json.dump({**self.summary_dict(), **extra}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

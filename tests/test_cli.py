@@ -8,7 +8,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from amplify_acct.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, main
+from amplify_acct.accountant import MECHANISMS, spec_params
+from amplify_acct.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, build_parser, main
 from reference_formulas import reverse_bound_paper
 
 
@@ -113,6 +114,21 @@ def test_empty_order_list_exits_2(capsys, mech, command):
     assert code == EXIT_CONFIG
     assert err == "error: curve must contain at least one order\n"
     assert out == ""
+
+
+_FIELDS = [(cls.cli_name, name, kind) for cls in MECHANISMS for name, kind in spec_params(cls).items()]
+
+
+@pytest.mark.parametrize("command", ["epsilon", "calibrate"])
+@pytest.mark.parametrize("mech, field, kind", _FIELDS, ids=[f"{mech}-{field}" for mech, field, _ in _FIELDS])
+def test_every_mechanism_field_has_its_flag(command, mech, field, kind):
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    flags = {option: action for action in parser._actions for option in action.option_strings}
+    flag = "--" + field.replace("_", "-")
+    if command == "calibrate" and field == "sigma":
+        assert flag not in flags  # calibrate searches for sigma
+    else:
+        assert flags[flag].dest == field and flags[flag].type is kind
 
 
 class TestCurve:
@@ -281,6 +297,7 @@ class TestVerify:
             ("d=3,k=1", "dimred", "dimred d <= 2"),
             ("d=5,k=1", "offset", "offset d <= 4"),
             ("d=3,k=1", "dimred,alpha2", "dimred d <= 2"),
+            ("d=5,k=1", "sandwich", "sandwich d <= 4"),
         ],
     )
     def test_no_family_fits_the_checks_exits_2(self, capsys, family, check, limit):
@@ -288,6 +305,19 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert f"requested checks {check} ({limit})" in err
         assert out == ""
+
+    def test_family_too_large_for_every_oracle_check_skips_them(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "d=5,k=1", "--alpha", "2", "--mc-samples", "100000")
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r.get("record", r.get("check")) for r in records] == ["meta", "alpha2-tightness"]
+
+    def test_requested_check_skips_the_families_too_large_for_it(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "d=4,k=1", "--family", "d=5,k=1", "--alpha", "2",
+                           "--checks", "sandwich", "--mc-samples", "100000")
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()[1:]]
+        assert [(r["check"], r["d"]) for r in records] == [("sandwich", 4)]
 
 
 class TestSimulate:
@@ -378,6 +408,15 @@ class TestSimulate:
         assert f"takes no {flag}" in err
         assert out == ""
         assert not out_dir.exists()
+
+    def test_noiseless_run_reports_no_privacy(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        code, out, _ = run(capsys, "simulate", "--T", "3", "--n", "8", "--sigma", "0", "--out-dir", str(out_dir))
+        assert code == EXIT_OK
+        assert "privacy = none (sigma = 0)" in out
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["privacy"] is None
+        assert summary["tool"] == "amplify-acct" and summary["cli_config"]["sigma"] == 0.0
 
     def test_deterministic_outputs(self, capsys, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
