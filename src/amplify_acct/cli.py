@@ -85,7 +85,6 @@ from .oracles import (
     CHECK_MAX_D,
     McSpec,
     forward_exact_value,
-    grid_spec,
     verify_dim_reduction,
     verify_offset_identity,
     verify_sandwich,
@@ -331,12 +330,11 @@ def cmd_verify(args) -> int:
     records = []
     for family in families:
         fits = [name for name in checks if family.d <= CHECK_MAX_D.get(name, family.d)]
-        quad = grid_spec(family.d)
         for alpha in alphas:
             if "sandwich" in fits:
-                records.append(_record("sandwich", family, verify_sandwich(family, alpha, quad, mc)))
+                records.append(_record("sandwich", family, verify_sandwich(family, alpha, mc_spec=mc)))
             if "offset" in fits:
-                records.append(_record("offset-identity", family, verify_offset_identity(family, alpha, quad, mc)))
+                records.append(_record("offset-identity", family, verify_offset_identity(family, alpha, mc_spec=mc)))
         if "alpha2" in fits:
             # Order 2 whatever the --alpha list: one record per family.
             exact2 = forward_exact_value(family, 2)

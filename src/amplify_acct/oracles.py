@@ -18,12 +18,21 @@ through the Gaussian at the mixture-center average, and
 coordinate leaves the divergence unchanged.
 
 Both evaluate mixture log-densities without a (points, centers, dim)
-tensor.  The quadrature never forms grid points: on the tensor grid each
-component's log density is a sum of per-axis terms, so a chunk of the grid
-is built by broadcasting per-axis (len(axis), centers) arrays.  Monte Carlo
-points go through ``mixture_logpdf``, one (rows, centers) matmul.  Both sum
-over the few centers the same way, one ``np.logaddexp`` pass per extra
-center (``_logsumexp_centers``).
+tensor, with the centers on the leading axis.  The quadrature never forms
+grid points: on the tensor grid each component's log density is a sum of
+per-axis terms, so a chunk of the grid is built by broadcasting per-axis
+(centers, len(axis)) arrays into (centers, grid...).  Monte Carlo points go
+through ``mixture_logpdf``, one (centers, rows) matmul.  Both sum over the
+few centers the same way (``_logsumexp_centers``): the max over the
+leading axis, then sum(exp(comp - max)) accumulated in place, then log +
+max, each a contiguous vector pass.  Its error is a few ulps of
+1 + |result| (Blanchard, Higham & Higham 2021, "Accurately computing the
+log-sum-exp and softmax functions"); the tests hold it within
+1e-14 (1 + |result|) of a ``np.logaddexp`` chain.
+
+``verify_sandwich`` draws its Monte Carlo points once for both directions:
+the forward and reverse pairs have the same one-center side, so they
+sample the same points and share their two log densities.
 
 Estimates are pure functions of (inputs, spec, seed): grids accumulate in
 a fixed order, Monte-Carlo chunks have a fixed size, so identical calls
@@ -147,15 +156,32 @@ def point_mixture(center, sigma: float) -> GenericMixture:
 
 
 def _logsumexp_centers(comp: np.ndarray) -> np.ndarray:
-    """log(sum(exp(comp))) over the last (centers) axis, by ``np.logaddexp``.
+    """log(sum(exp(comp))) over the leading (centers) axis; overwrites ``comp``.
 
-    One pass per extra center; a single center is just its column.  A
-    zero-weight center is a -inf column, which logaddexp adds exactly as if
-    the center were not there.
+    top + log(sum(exp(comp - top))) with top the max over centers: the
+    subtraction and exp run in place, and the sum accumulates into the
+    first center's row, so every pass runs over contiguous rows.  The sum
+    lies in [1, centers], so the result is within a few ulps of
+    1 + |result| (Blanchard, Higham & Higham 2021), and the tests hold it
+    within 1e-14 (1 + |result|) of a ``np.logaddexp`` chain.  It gives what
+    that chain gives on the special entries: a single center is its row,
+    returned as it is; two equal entries give top + log 2; a -inf
+    (zero-weight) center adds exactly nothing; a point whose centers are
+    all -inf gives -inf, +inf gives +inf and NaN gives NaN (a non-finite
+    top is taken out as 0).
     """
-    out = comp[..., 0]
-    for j in range(1, comp.shape[-1]):
-        out = np.logaddexp(out, comp[..., j])
+    if len(comp) == 1:
+        return comp[0]
+    shift = comp.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        np.subtract(comp, shift, out=comp)
+        np.exp(comp, out=comp)
+        out = comp[0]
+        for row in comp[1:]:
+            out += row
+        np.log(out, out=out)
+    out += shift
     return out
 
 
@@ -175,17 +201,19 @@ def mixture_logpdf(mixture: GenericMixture, x: np.ndarray) -> np.ndarray:
     -|x - mu|^2 / (2 sigma^2) = x.mu / sigma^2 - |mu|^2 / (2 sigma^2)
     - |x|^2 / (2 sigma^2).  The last term is the same for every component,
     so it is subtracted once, after the sum over centers; the components
-    cost one (rows, centers) matmul and never a (rows, centers, dim) tensor.
-    The centers are summed by ``_logsumexp_centers``, as on the quadrature
-    grid.
+    cost one (centers, rows) matmul and never a (rows, centers, dim) tensor.
+    The centers sit on the leading axis, where ``_logsumexp_centers`` sums
+    them in place, as on the quadrature grid.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     var = mixture.sigma**2
     centers = mixture.centers
-    comp = x @ (centers.T / var)
-    comp += _log_weights(mixture) - np.einsum("nd,nd->n", centers, centers) / (2.0 * var)
-    sq_x = np.einsum("bd,bd->b", x, x)
-    return _logsumexp_centers(comp) - sq_x / (2.0 * var) - _log_norm(mixture)
+    comp = (centers / var) @ x.T
+    comp += (_log_weights(mixture) - np.einsum("nd,nd->n", centers, centers) / (2.0 * var))[:, None]
+    out = _logsumexp_centers(comp)
+    out -= np.einsum("bd,bd->b", x, x) / (2.0 * var)
+    out -= _log_norm(mixture)
+    return out
 
 
 def sample_mixture(mixture: GenericMixture, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -237,21 +265,24 @@ def _axis_log_weights(axis: np.ndarray) -> np.ndarray:
 
 
 def _on_axis(values: np.ndarray, j: int, dim: int) -> np.ndarray:
-    # Per-axis values of shape (len, ...) placed on axis j of a dim-axis grid.
-    return values.reshape((1,) * j + values.shape[:1] + (1,) * (dim - 1 - j) + values.shape[1:])
+    # Values of shape (..., len) with their last axis placed on axis j of a
+    # dim-axis grid; the leading axes stay in front.
+    lead = values.shape[:-1]
+    return values.reshape(lead + (1,) * j + values.shape[-1:] + (1,) * (dim - 1 - j))
 
 
 def _grid_logpdf(mixture: GenericMixture, axes) -> np.ndarray:
     """Log density of the mixture on the tensor grid of ``axes``.
 
     Every term of a component's log density separates by axis, so the
-    components are per-axis (len(axis), centers) arrays broadcast into
-    (grid..., centers); only the sum over centers couples the axes.
+    components are per-axis (centers, len(axis)) arrays broadcast into
+    (centers, grid...); only the sum over the leading centers axis couples
+    the grid axes, and ``_logsumexp_centers`` reduces it in place.
     """
     inv = 1.0 / (2.0 * mixture.sigma**2)
-    comp = _log_weights(mixture) - _log_norm(mixture)
+    comp = (_log_weights(mixture) - _log_norm(mixture)).reshape((-1,) + (1,) * len(axes))
     for j, axis in enumerate(axes):
-        term = -((axis[:, None] - mixture.centers[:, j]) ** 2) * inv
+        term = -((axis - mixture.centers[:, j, None]) ** 2) * inv
         comp = comp + _on_axis(term, j, len(axes))
     return _logsumexp_centers(comp)
 
@@ -262,8 +293,11 @@ def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: Quadra
     Deterministic for a fixed spec; the integrand is accumulated in log
     space, one chunk of leading-axis rows at a time.  A chunk holds the
     integrand on its slab of the tensor grid, built by broadcasting per-axis
-    arrays (``_grid_logpdf``, then the per-axis trapezoid log-weights); no
-    grid point array is formed.  Dimensions above spec.max_dim_grid are
+    arrays (``_grid_logpdf``); no grid point array is formed.  The two log
+    densities are scaled and added, with the per-axis trapezoid log-weights,
+    into one buffer, which is reduced in place as top + log(sum(exp(vals -
+    top))) (``_chunk_log_sum``); the chunk values are then summed by
+    ``rdp_math._logsumexp``.  Dimensions above spec.max_dim_grid are
     refused with a pointer to ``mc_renyi``.
     """
     a = validate_order(alpha)
@@ -282,12 +316,31 @@ def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: Quadra
     chunk_logs = []
     for start in range(0, len(axes[0]), chunk_rows):
         rows = slice(start, start + chunk_rows)
-        chunk = [axes[0][rows], *axes[1:]]
-        vals = a * _grid_logpdf(m_num, chunk) + (1 - a) * _grid_logpdf(m_den, chunk)
-        for j, logw in enumerate([logws[0][rows], *logws[1:]]):
-            vals += _on_axis(logw, j, dim)
-        chunk_logs.append(_logsumexp(vals))
+        chunk_logs.append(_chunk_log_sum(m_num, m_den, a, [axes[0][rows], *axes[1:]], [logws[0][rows], *logws[1:]]))
     return float(_logsumexp(chunk_logs)) / (a - 1)
+
+
+def _chunk_log_sum(m_num: GenericMixture, m_den: GenericMixture, a: int, axes, logws) -> float:
+    """log of the trapezoid sum of num^a den^(1-a) over the grid of ``axes``.
+
+    One buffer holds a log num + (1-a) log den + the per-axis log-weights
+    and is reduced in place as top + log(sum(exp(vals - top))).  Every
+    chunk-size array dies on return, before the next chunk is built.
+    """
+    vals = _grid_logpdf(m_num, axes)
+    vals *= a
+    den = _grid_logpdf(m_den, axes)
+    den *= 1 - a
+    vals += den
+    del den
+    for j, logw in enumerate(logws):
+        vals += _on_axis(logw, j, len(axes))
+    top = float(vals.max())
+    shift = top if math.isfinite(top) else 0.0
+    vals -= shift
+    np.exp(vals, out=vals)
+    with np.errstate(divide="ignore"):
+        return float(np.log(vals.sum())) + shift
 
 
 def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec | None = None) -> McEstimate:
@@ -300,41 +353,72 @@ def mc_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: McSpec |
     exceeds 10% of the estimate (above a 1e-4 absolute floor) carry
     low_confidence=True rather than failing silently.
     """
-    a = validate_order(alpha)
-    spec = spec or McSpec()
+    (estimate,) = _mc_estimates(m_num, m_den, validate_order(alpha), spec or McSpec())
+    return estimate
+
+
+class _LogMeanExp:
+    """Running sums of u = exp(w - shift) and u^2, rescaled when max(w) rises."""
+
+    def __init__(self):
+        self.shift = -np.inf
+        self.s1 = 0.0
+        self.s2 = 0.0
+
+    def add(self, w: np.ndarray) -> None:
+        m = float(w.max())
+        if m > self.shift:
+            scale = math.exp(self.shift - m) if self.shift > -np.inf else 0.0
+            self.s1 *= scale
+            self.s2 *= scale * scale
+            self.shift = m
+        u = np.exp(w - self.shift)
+        self.s1 += float(u.sum())
+        self.s2 += float((u * u).sum())
+
+    def estimate(self, n: int, a: int, proposal: str) -> McEstimate:
+        mean_u = self.s1 / n
+        var_u = max(0.0, (self.s2 - self.s1 * self.s1 / n) / (n - 1))
+        estimate = (self.shift + math.log(mean_u)) / (a - 1)
+        stderr = math.sqrt(var_u / n) / mean_u / (a - 1)
+        low_confidence = stderr > max(0.1 * abs(estimate), 1e-4)
+        return McEstimate(estimate, stderr, n, proposal, low_confidence)
+
+
+def _mc_estimates(m_num: GenericMixture, m_den: GenericMixture, a: int, spec: McSpec, both: bool = False):
+    """``mc_renyi``'s loop: (num vs den,), or (num vs den, den vs num) when ``both``.
+
+    Both directions draw from the side with fewer centers, so one draw and
+    one pair of log densities serve both, and each estimate is bit for bit
+    what its own ``mc_renyi`` call gives.  On a tie each direction draws
+    from its own denominator, so the two take separate draws.
+    """
     if m_num.dim != m_den.dim:
         raise ValueError("mixtures must share a dimension")
     if m_num.dim > 6:
         raise ValueError(f"dimension {m_num.dim} too high for Monte Carlo variance control (max 6)")
+    if both and len(m_num.weights) == len(m_den.weights):
+        return _mc_estimates(m_num, m_den, a, spec) + _mc_estimates(m_den, m_num, a, spec)
     numerator = len(m_num.weights) < len(m_den.weights)
     prop = m_num if numerator else m_den
 
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    shift = -np.inf
-    s1 = 0.0
-    s2 = 0.0
+    forward = _LogMeanExp()
+    reverse = _LogMeanExp() if both else None
     n = spec.n_samples
     for start in range(0, n, _MC_CHUNK):
         b = min(_MC_CHUNK, n - start)
         x = sample_mixture(prop, b, rng)
         log_num = mixture_logpdf(m_num, x)
         log_den = mixture_logpdf(m_den, x)
-        w = a * log_num + (1 - a) * log_den - (log_num if numerator else log_den)
-        m = float(w.max())
-        if m > shift:
-            scale = math.exp(shift - m) if shift > -np.inf else 0.0
-            s1 *= scale
-            s2 *= scale * scale
-            shift = m
-        u = np.exp(w - shift)
-        s1 += float(u.sum())
-        s2 += float((u * u).sum())
-    mean_u = s1 / n
-    var_u = max(0.0, (s2 - s1 * s1 / n) / (n - 1))
-    estimate = (shift + math.log(mean_u)) / (a - 1)
-    stderr = math.sqrt(var_u / n) / mean_u / (a - 1)
-    low_confidence = stderr > max(0.1 * abs(estimate), 1e-4)
-    return McEstimate(estimate, stderr, n, "numerator" if numerator else "denominator", low_confidence)
+        log_prop = log_num if numerator else log_den
+        forward.add(a * log_num + (1 - a) * log_den - log_prop)
+        if reverse is not None:
+            reverse.add(a * log_den + (1 - a) * log_num - log_prop)
+    sides = ("numerator", "denominator") if numerator else ("denominator", "numerator")
+    if reverse is None:
+        return (forward.estimate(n, a, sides[0]),)
+    return forward.estimate(n, a, sides[0]), reverse.estimate(n, a, sides[1])
 
 
 def forward_exact_value(family: MixtureFamily, alpha) -> float:
@@ -345,12 +429,16 @@ def forward_exact_value(family: MixtureFamily, alpha) -> float:
     return float(value)
 
 
-def _oracle_divergence(m_num, m_den, alpha, quad_spec, mc_spec):
-    """Quadrature when the grid allows it, Monte Carlo otherwise."""
+def _oracle_divergence(m_num, m_den, alpha, quad_spec, mc_spec, both=False) -> list:
+    """[(num vs den, stderr)], then (den vs num, stderr) when ``both``.
+
+    Quadrature when the grid allows it, Monte Carlo otherwise, where one
+    draw serves both directions (``_mc_estimates``).
+    """
     if m_num.dim <= quad_spec.max_dim_grid:
-        return quad_renyi(m_num, m_den, alpha, quad_spec), 0.0
-    est = mc_renyi(m_num, m_den, alpha, mc_spec)
-    return est.estimate, est.stderr
+        pairs = [(m_num, m_den), (m_den, m_num)][: 1 + both]
+        return [(quad_renyi(p, q, alpha, quad_spec), 0.0) for p, q in pairs]
+    return [(e.estimate, e.stderr) for e in _mc_estimates(m_num, m_den, alpha, mc_spec, both)]
 
 
 @dataclass(frozen=True)
@@ -399,10 +487,12 @@ def verify_sandwich(
 
     Small instances only (d <= ``CHECK_MAX_D["sandwich"]`` and an order with
     an exact forward path; else an error before any oracle runs).  Failures are
-    recorded in the report, never raised.
+    recorded in the report, never raised.  The grid defaults to
+    ``grid_spec(family.d)``, as in ``verify``; above it, one Monte Carlo
+    draw serves both directions.
     """
     a = validate_order(alpha)
-    quad_spec = quad_spec or QuadratureSpec()
+    quad_spec = quad_spec or grid_spec(family.d)
     mc_spec = mc_spec or McSpec()
     if family.d > CHECK_MAX_D["sandwich"]:
         raise ValueError(f"sandwich verification is limited to d <= {CHECK_MAX_D['sandwich']}")
@@ -410,8 +500,7 @@ def verify_sandwich(
     fwd_exact = forward_exact_value(family, a)
     mixture = family_mixture(family)
     origin = point_mixture(np.zeros(family.d), family.sigma)
-    fwd_oracle, fwd_se = _oracle_divergence(mixture, origin, a, quad_spec, mc_spec)
-    rev_oracle, rev_se = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec)
+    (fwd_oracle, fwd_se), (rev_oracle, rev_se) = _oracle_divergence(mixture, origin, a, quad_spec, mc_spec, both=True)
 
     fwd_bound = forward_bound(family, a)
     rev_bound = reverse_bound(family, a)
@@ -467,8 +556,13 @@ def verify_offset_identity(
     quad_spec: QuadratureSpec | None = None,
     mc_spec: McSpec | None = None,
 ) -> OffsetIdentityReport:
+    """Check the reverse-divergence decomposition of ``OffsetIdentityReport``.
+
+    Small instances only (d <= ``CHECK_MAX_D["offset"]``).  The grid
+    defaults to ``grid_spec(family.d)``, as in ``verify``.
+    """
     a = validate_order(alpha)
-    quad_spec = quad_spec or QuadratureSpec()
+    quad_spec = quad_spec or grid_spec(family.d)
     mc_spec = mc_spec or McSpec()
     if family.d > CHECK_MAX_D["offset"]:
         raise ValueError(f"offset identity verification is limited to d <= {CHECK_MAX_D['offset']}")
@@ -478,9 +572,9 @@ def verify_offset_identity(
     origin = point_mixture(np.zeros(d), sigma)
     avg = point_mixture(np.full(d, c * k / d), sigma)
 
-    lhs, lhs_se = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec)
+    ((lhs, lhs_se),) = _oracle_divergence(origin, mixture, a, quad_spec, mc_spec)
     shift_term = gaussian_rdp(c * k / math.sqrt(d), sigma, a)
-    tail_term, tail_se = _oracle_divergence(avg, mixture, a, quad_spec, mc_spec)
+    ((tail_term, tail_se),) = _oracle_divergence(avg, mixture, a, quad_spec, mc_spec)
 
     stderr = math.sqrt(lhs_se**2 + tail_se**2)
     tol = max(1e-3, 3.0 * stderr)

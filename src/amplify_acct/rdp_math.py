@@ -106,7 +106,9 @@ def _logsumexp(a, axis=None):
     count = np.sum(is_top, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(top), top, 0.0)
     rest = np.sum(np.exp(np.where(is_top, -np.inf, a - shift)), axis=axis, keepdims=True)
-    out = np.log1p(rest / count) + np.log(count) + top
+    with np.errstate(divide="ignore"):  # count is 0 on an all-NaN row, whose result is NaN either way
+        log_count = np.log(count)
+    out = np.log1p(rest / count) + log_count + top
     return out.reshape(())[()] if axis is None else np.squeeze(out, axis=axis)
 
 

@@ -16,6 +16,12 @@
                                 (cells, dim) grid point array per chunk;
                                 ``oracles.quad_renyi`` broadcasts per-axis
                                 terms instead and is checked against it.
+* ``logsumexp_centers_logaddexp`` -- log(sum(exp)) over the leading
+                                (centers) axis by a ``np.logaddexp`` chain,
+                                one pass per extra center;
+                                ``oracles._logsumexp_centers`` shifts by the
+                                max and sums in place instead, and is
+                                checked against it.
 * ``forward_exact_enum_itertools`` -- exact forward divergence from sorted
                                 tuples built one Python tuple at a time
                                 by ``itertools.combinations_with_replacement``;
@@ -111,6 +117,19 @@ def mixture_logpdf_direct(mixture: GenericMixture, x) -> np.ndarray:
         comp = np.log(mixture.weights)[None, :] - sq / (2.0 * mixture.sigma**2)
     norm = 0.5 * mixture.dim * math.log(2.0 * math.pi * mixture.sigma**2)
     return _logsumexp(comp, axis=1) - norm
+
+
+def logsumexp_centers_logaddexp(comp: np.ndarray) -> np.ndarray:
+    """log(sum(exp(comp))) over the leading (centers) axis, by ``np.logaddexp``.
+
+    One pass per extra center; a single center is just its row.  A
+    zero-weight center is a -inf row, which logaddexp adds exactly as if
+    the center were not there.
+    """
+    out = comp[0]
+    for j in range(1, comp.shape[0]):
+        out = np.logaddexp(out, comp[j])
+    return out
 
 
 def quad_renyi_points(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: QuadratureSpec | None = None) -> float:

@@ -9,6 +9,7 @@ from amplify_acct.oracles import (
     McSpec,
     QuadratureSpec,
     _grid_axes,
+    _logsumexp_centers,
     grid_spec,
     mc_renyi,
     mixture_logpdf,
@@ -26,7 +27,13 @@ from amplify_acct.rdp_math import (
     forward_exact_enum,
     gaussian_rdp,
 )
-from reference_formulas import gaussian_rdp_same_mean, mixture_logpdf_direct, quad_renyi_points, reverse_bound_paper
+from reference_formulas import (
+    gaussian_rdp_same_mean,
+    logsumexp_centers_logaddexp,
+    mixture_logpdf_direct,
+    quad_renyi_points,
+    reverse_bound_paper,
+)
 
 E = math.e
 
@@ -44,6 +51,71 @@ def with_duplicate_and_zero_weight_center(mixture):
     centers = np.vstack([mixture.centers, mixture.centers[:1], np.full((1, d), 3.0 * mixture.sigma)])
     weights = np.concatenate([mixture.weights * n / (n + 1), [1.0 / (n + 1), 0.0]])
     return GenericMixture(centers, weights, mixture.sigma)
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestLogsumexpCenters:
+    # The shifted exp-sum against the logaddexp chain: within a few ulps of
+    # 1 + |result| on finite points, the same values where the chain's result
+    # is fixed by its special entries.
+    TOL = 1e-14
+
+    def test_random_rows_match_the_logaddexp_chain(self):
+        rng = np.random.default_rng(19)
+        for centers in (1, 2, 3, 6, 10, 45):
+            for scale in (1e-3, 1.0, 30.0, 700.0):
+                comp = scale * rng.standard_normal((centers, 2000)) + scale * rng.standard_normal()
+                ref = logsumexp_centers_logaddexp(comp)
+                got = _logsumexp_centers(comp.copy())
+                assert np.all(np.abs(got - ref) <= self.TOL * (1.0 + np.abs(ref)))
+
+    def test_one_center_is_its_row_and_two_equal_entries_add_log_two(self):
+        row = np.random.default_rng(3).uniform(-700.0, 700.0, 1000)
+        assert np.array_equal(bits(_logsumexp_centers(row[None, :].copy())), bits(row))
+        pair = np.vstack([row, row])
+        assert np.array_equal(bits(_logsumexp_centers(pair.copy())), bits(logsumexp_centers_logaddexp(pair)))
+
+    def test_a_zero_weight_center_adds_exactly_nothing(self):
+        rng = np.random.default_rng(4)
+        for centers in (1, 2, 5, 44):
+            comp = rng.uniform(-50.0, 50.0, (centers, 500))
+            with_dead = np.insert(comp, centers // 2, -np.inf, axis=0)
+            assert np.array_equal(bits(_logsumexp_centers(with_dead.copy())), bits(_logsumexp_centers(comp.copy())))
+            assert np.array_equal(bits(logsumexp_centers_logaddexp(with_dead)), bits(logsumexp_centers_logaddexp(comp)))
+
+    def test_duplicated_centers_stay_within_the_bound(self):
+        rng = np.random.default_rng(5)
+        for centers in (2, 3, 7, 45):
+            comp = rng.uniform(-20.0, 20.0, (centers, 500))
+            comp[-1] = comp[0]
+            ref = logsumexp_centers_logaddexp(comp)
+            got = _logsumexp_centers(comp.copy())
+            assert np.all(np.abs(got - ref) <= self.TOL * (1.0 + np.abs(ref)))
+
+    def test_non_finite_entries_give_the_chain_result(self):
+        inf, nan = np.inf, np.nan
+        points = [
+            [-inf, -inf, -inf],
+            [inf, 1.0, -inf],
+            [inf, inf, 2.0],
+            [-inf, inf, -inf],
+            [nan, 1.0, 2.0],
+            [1.0, nan, inf],
+            [-inf, nan, -inf],
+            [nan, nan, nan],
+            [800.0, inf, -inf],
+        ]
+        comp = np.array(points).T.copy()
+        with np.errstate(invalid="ignore"):
+            ref = logsumexp_centers_logaddexp(comp)
+        got = _logsumexp_centers(comp.copy())
+        assert np.array_equal(got, ref, equal_nan=True)
+        # A point whose centers are all -inf gives -inf next to a finite point.
+        got = _logsumexp_centers(np.array([[0.5, -inf], [1.5, -inf]]))
+        assert np.isfinite(got[0]) and got[1] == -inf
 
 
 class TestMixtureLogpdf:
@@ -272,6 +344,22 @@ class TestVerifySandwich:
         with pytest.raises(CostLimitError, match="no exact forward path"):
             verify_sandwich(MixtureFamily(4, 2, 1.0, 1.0), 9)
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_monte_carlo_cells_equal_two_mc_renyi_calls(self, k):
+        # Both directions draw from the origin's side with the same seed, so
+        # one draw serves both; at k = d the sides tie and each direction
+        # draws from its own denominator, as two calls would.
+        family = MixtureFamily(4, k, 1.0, 1.0)
+        mixture = family_mixture(family)
+        origin = point_mixture(np.zeros(4), 1.0)
+        for alpha in (2, 3):
+            report = verify_sandwich(family, alpha, mc_spec=SMALL_MC)
+            fwd = mc_renyi(mixture, origin, alpha, SMALL_MC)
+            rev = mc_renyi(origin, mixture, alpha, SMALL_MC)
+            got = [report.oracle_forward, report.oracle_forward_stderr, report.oracle_reverse, report.oracle_reverse_stderr]
+            assert np.array_equal(bits(got), bits([fwd.estimate, fwd.stderr, rev.estimate, rev.stderr]))
+            assert report.oracle_reverse_stderr > 0
+
     def test_six_center_cell_runs(self):
         report = verify_sandwich(MixtureFamily(4, 2, 1.0, 1.0), 2, mc_spec=SMALL_MC)
         assert report.ok_forward_below_exact
@@ -297,7 +385,9 @@ class TestVerifyOffsetIdentity:
         assert report.tail_term == pytest.approx(0.0, abs=1e-6)
 
     def test_mc_path_for_d3(self):
-        report = verify_offset_identity(MixtureFamily(3, 1, 1.0, 1.0), 2, mc_spec=McSpec(n_samples=600_000, seed=3))
+        report = verify_offset_identity(
+            MixtureFamily(3, 1, 1.0, 1.0), 2, QuadratureSpec(), McSpec(n_samples=600_000, seed=3)
+        )
         assert report.stderr > 0
         assert report.ok
 

@@ -567,6 +567,7 @@ class TestLogKernels:
         assert _logsumexp([2.5]) == 2.5
         assert _logsumexp(np.array([[7.25]]), axis=1).tolist() == [7.25]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_logsumexp_over_one_column_is_the_general_path_bit_for_bit(self):
         vals = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -3e300, 5e-324])
         with np.errstate(divide="ignore", invalid="ignore"):
