@@ -2,7 +2,7 @@
 
 Builds per-order epsilon curves for the supported mechanisms, composes a
 curve count-fold with ``scale_curve`` (Renyi DP adds per order), converts to
-(epsilon, delta) guarantees, calibrates noise by bisection, and compares
+(epsilon, delta) guarantees, calibrates noise by a bracketed secant in log sigma, and compares
 balanced iteration subsampling against Poisson subsampling.
 
 Curve provenance per order:
@@ -328,8 +328,8 @@ class CalibrationResult:
     bracket_hi: float
 
 
-# Bisection stops within this relative distance below the target, or after
-# this many rounds.
+# Calibration stops at the first probe within this relative distance below the
+# target, or after this many probes past the two bracket endpoints.
 _CALIBRATION_REL_TOL = 1e-4
 _CALIBRATION_MAX_ITER = 200
 
@@ -348,13 +348,21 @@ def calibrate_sigma(
     orders=DEFAULT_ORDERS,
     mode: str = "tight",
 ) -> CalibrationResult:
-    """Bisection for the noise meeting a (target_epsilon, delta) goal.
+    """Noise meeting a (target_epsilon, delta) goal, by regula falsi in log sigma.
 
     ``template``'s sigma field is ignored and replaced by the probe value;
     ``count`` sequential runs are accounted.  Searches sigma in
-    [1e-3 c, 1e3 c] (c = the template's clipping scale), stopping when the
-    achieved epsilon is within _CALIBRATION_REL_TOL of the target or after
-    _CALIBRATION_MAX_ITER rounds; the result always satisfies achieved <= target.
+    [1e-3 c, 1e3 c] (c = the template's clipping scale) with the Illinois
+    variant of regula falsi (Dowell & Jarratt 1971, BIT 11) on log epsilon
+    against log sigma, which is close to linear (slope about -2 at small
+    sigma, -1 at large).  It aims at the middle of the acceptance band,
+    target (1 - _CALIBRATION_REL_TOL / 2), and a proposal not strictly inside
+    the bracket becomes the log-sigma midpoint.  It stops at the first probe
+    within _CALIBRATION_REL_TOL below the target or after
+    _CALIBRATION_MAX_ITER probes; the result is the best probe at or below
+    the target, so achieved <= target always holds.  epsilon > 0 at every
+    probe, since the conversion adds log(1/delta)/(alpha - 1) > 0, so
+    log epsilon is finite.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -375,17 +383,33 @@ def calibrate_sigma(
             f"target epsilon {target_epsilon} not bracketed: "
             f"epsilon({lo:g}) = {eps_lo:g}, epsilon({hi:g}) = {eps_hi:g}"
         )
+    # Illinois regula falsi on f(x) = log eps(e^x) - log(aim), x = log sigma,
+    # aiming at the middle of the acceptance band.  lo keeps eps > target and
+    # hi keeps eps <= target; only the hi endpoint may start with f >= 0.
+    log_aim = math.log(target_epsilon * (1.0 - 0.5 * _CALIBRATION_REL_TOL))
+    x_lo, f_lo = math.log(lo), math.log(eps_lo) - log_aim
+    x_hi, f_hi = math.log(hi), math.log(eps_hi) - log_aim
+    side = 0  # +1 after the hi endpoint moved, -1 after lo moved
     iterations = 0
     for _ in range(_CALIBRATION_MAX_ITER):
         iterations += 1
-        mid = 0.5 * (lo + hi)
-        eps_mid = achieved(mid)
-        if eps_mid <= target_epsilon:
-            hi, eps_hi = mid, eps_mid
-            if target_epsilon - eps_mid <= _CALIBRATION_REL_TOL * target_epsilon:
+        x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo) if f_hi < 0 else x_hi
+        if not x_lo < x < x_hi:
+            x = 0.5 * (x_lo + x_hi)
+        sigma = math.exp(x)
+        eps = achieved(sigma)
+        if eps <= target_epsilon:
+            x_hi, f_hi, hi, eps_hi = x, math.log(eps) - log_aim, sigma, eps
+            if target_epsilon - eps <= _CALIBRATION_REL_TOL * target_epsilon:
                 break
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
         else:
-            lo = mid
+            x_lo, f_lo = x, math.log(eps) - log_aim
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
     return CalibrationResult(
         sigma=hi,
         achieved_epsilon=eps_hi,

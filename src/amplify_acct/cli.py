@@ -5,7 +5,7 @@ Subcommands:
 * ``epsilon``   -- (epsilon, delta) guarantee for one mechanism spec.
 * ``curve``     -- per-order epsilon table for one or more mechanisms
                    (CSV or JSON, the data behind the comparison figures).
-* ``calibrate`` -- bisect the noise for a target (epsilon, delta).
+* ``calibrate`` -- search the noise for a target (epsilon, delta).
 * ``verify``    -- oracle sweeps: sandwich bounds, offset identity,
                    dimension reduction, order-2 tightness.
 * ``simulate``  -- run the training simulator and report diagnostics.
@@ -43,8 +43,9 @@ sorted by mechanism label and ascending order.  The JSON format mirrors
 the same rows under ``{"tool", "version", "config", "rows"}``.
 
 ``calibrate`` prints ``sigma`` and the achieved epsilon, then one JSON
-record: sigma, achieved/target epsilon, delta, bisection iteration count,
-bracket endpoints, label of the calibrated mechanism, config, version.
+record: sigma, achieved/target epsilon, delta, iteration count (regula
+falsi probes after the two bracket endpoints), bracket endpoints, label of
+the calibrated mechanism, config, version.
 
 ``verify`` emits a leading meta record (tool, version, resolved config)
 followed by one JSON record per check: ``check`` (sandwich /

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from amplify_acct.accountant import (
     DpGuarantee,
     DropoutSplit,
     Gaussian,
+    MECHANISMS,
     MixtureSplit,
     ModelSplit,
     PartialSplit,
@@ -210,6 +212,42 @@ class TestCalibration:
     def test_zero_clip_rejected(self):
         with pytest.raises(ValueError):
             calibrate_sigma(Gaussian(c=0, sigma=1), 1, 1.0, 1e-5)
+
+    # One small template per MECHANISMS entry; a new entry without one fails.
+    TEMPLATES = {
+        Gaussian: Gaussian(c=1, sigma=1),
+        PoissonGaussian: PoissonGaussian(c=1, sigma=1, gamma=0.1),
+        ModelSplit: ModelSplit(d=4, c=1, sigma=1),
+        MixtureSplit: MixtureSplit(d=5, c=0.5, sigma=1),
+        DropoutSplit: DropoutSplit(c=1, sigma=1),
+        PartialSplit: PartialSplit(d=4, c_split=1, c_nonsplit=0.5, sigma=1),
+        Bis: Bis(T=100, k=10, c=1, sigma=1),
+    }
+
+    @pytest.mark.parametrize("target", [1.0, 8.0])
+    @pytest.mark.parametrize("count", [1, 100])
+    @pytest.mark.parametrize("cls", MECHANISMS, ids=lambda cls: cls.cli_name)
+    def test_contract(self, cls, count, target):
+        template = self.TEMPLATES[cls]
+        result = calibrate_sigma(template, count, target, 1e-5)
+        assert result.achieved_epsilon <= target
+        assert target - result.achieved_epsilon <= accountant._CALIBRATION_REL_TOL * target
+        assert result.bracket_lo <= result.sigma <= result.bracket_hi
+        direct = to_dp(scale_curve(rdp_curve(replace(template, sigma=result.sigma)), count), 1e-5)
+        assert result.achieved_epsilon == direct.epsilon
+
+    def test_section42_probe_count(self):
+        # Linear bisection over [1e-3, 1e3] takes 20 probes past the endpoints here.
+        result = calibrate_sigma(Bis(T=2000, k=655, c=1, sigma=1), 1, 8.0, 1e-5)
+        assert result.iterations <= 8
+
+    def test_nonconvergence_ends_below_target(self, monkeypatch):
+        # With no tolerance no probe can stop the search at this target, so
+        # it runs out of probes and returns the last one at or below target.
+        monkeypatch.setattr(accountant, "_CALIBRATION_REL_TOL", 0.0)
+        result = calibrate_sigma(Gaussian(c=1, sigma=1), 10, 0.3, 1e-5)
+        assert result.iterations == accountant._CALIBRATION_MAX_ITER
+        assert result.achieved_epsilon <= 0.3
 
 
 class TestBisEpochComposition:
