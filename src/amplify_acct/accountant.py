@@ -2,8 +2,9 @@
 
 Builds per-order epsilon curves for the supported mechanisms, composes a
 curve count-fold with ``scale_curve`` (Renyi DP adds per order), converts to
-(epsilon, delta) guarantees, calibrates noise by a bracketed secant in log sigma, and compares
-balanced iteration subsampling against Poisson subsampling.
+(epsilon, delta) guarantees, calibrates noise by a bracketed secant (regula
+falsi) in log sigma, and compares balanced iteration subsampling against
+Poisson subsampling.
 
 Curve provenance per order:
 
@@ -357,12 +358,12 @@ def calibrate_sigma(
     against log sigma, which is close to linear (slope about -2 at small
     sigma, -1 at large).  It aims at the middle of the acceptance band,
     target (1 - _CALIBRATION_REL_TOL / 2), and a proposal not strictly inside
-    the bracket becomes the log-sigma midpoint.  It stops at the first probe
-    within _CALIBRATION_REL_TOL below the target or after
-    _CALIBRATION_MAX_ITER probes; the result is the best probe at or below
-    the target, so achieved <= target always holds.  epsilon > 0 at every
-    probe, since the conversion adds log(1/delta)/(alpha - 1) > 0, so
-    log epsilon is finite.
+    the bracket becomes the log-sigma midpoint.  epsilon > 0 at every probe,
+    since the conversion adds log(1/delta)/(alpha - 1) > 0, so log epsilon
+    is finite.  It stops at the first probe within _CALIBRATION_REL_TOL
+    below the target, or after _CALIBRATION_MAX_ITER probes past the two
+    endpoints.  The result is the last probe at or below the target (the
+    bracket's hi end), so achieved <= target always holds.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -390,23 +391,22 @@ def calibrate_sigma(
     x_lo, f_lo = math.log(lo), math.log(eps_lo) - log_aim
     x_hi, f_hi = math.log(hi), math.log(eps_hi) - log_aim
     side = 0  # +1 after the hi endpoint moved, -1 after lo moved
-    iterations = 0
-    for _ in range(_CALIBRATION_MAX_ITER):
-        iterations += 1
+    for iterations in range(1, _CALIBRATION_MAX_ITER + 1):
         x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo) if f_hi < 0 else x_hi
         if not x_lo < x < x_hi:
             x = 0.5 * (x_lo + x_hi)
         sigma = math.exp(x)
         eps = achieved(sigma)
+        f = math.log(eps) - log_aim
         if eps <= target_epsilon:
-            x_hi, f_hi, hi, eps_hi = x, math.log(eps) - log_aim, sigma, eps
+            x_hi, f_hi, hi, eps_hi = x, f, sigma, eps
             if target_epsilon - eps <= _CALIBRATION_REL_TOL * target_epsilon:
                 break
             if side > 0:
                 f_lo *= 0.5
             side = 1
         else:
-            x_lo, f_lo = x, math.log(eps) - log_aim
+            x_lo, f_lo = x, f
             if side < 0:
                 f_hi *= 0.5
             side = -1
