@@ -13,7 +13,11 @@ orders ``alpha >= 2`` this module evaluates:
                                 mixture, summed over index multisets (numpy
                                 prefix columns, the last index in chunks)
                                 with multinomial weights; guarded by n^alpha
-                                tuples.
+                                tuples.  The tests' independent reference.
+* ``_forward_exact_overlap`` -- exact divergence of the k-hot family from
+                                integer counts of the tuples by pairwise
+                                overlap (a DP over level histograms of the
+                                column sums, ``_overlap_counts``).
 * ``forward_exact_k1_curve`` -- the one forward series kernel: exact
                                 divergence of the one-hot family at sample
                                 rate gamma, O(alpha^2 log d); gamma = 1 is
@@ -25,9 +29,10 @@ orders ``alpha >= 2`` this module evaluates:
                                 integral) and for small two-hot families, a
                                 sum of one-hot blocks otherwise.
 * ``forward_exact``          -- the one forward-path selector: per order the
-                                k=1 series, enumeration within the n^alpha
-                                guard, or the bound capped for k >= 2 by the
-                                d-fold Poisson curve at rate k/d, and which ran.
+                                k=1 series, the overlap counts within the
+                                n^alpha guard, or the bound capped for k >= 2
+                                by the d-fold Poisson curve at rate k/d, and
+                                which ran.
 * ``epsilon_tight_curve``    -- max(``forward_exact``, reverse bound) per
                                 order (``epsilon_tight`` at one order).
 * ``epsilon_loose``          -- max(forward bound, reverse bound); for k>=2
@@ -823,8 +828,10 @@ def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
     the result does not depend on how the tuples are generated, bit for bit.
     The summation runs in log space.
     Raises CostLimitError when n^alpha exceeds ENUM_TUPLE_LIMIT, the guard
-    ``forward_exact`` applies to C(d,k)^alpha before it enumerates; it counts
-    tuples, not multisets (ROADMAP item 2 weighs widening it).
+    ``forward_exact`` applies to C(d,k)^alpha before its "enum" rule; it
+    counts tuples, not multisets (ROADMAP item 2 weighs widening it).
+    ``forward_exact`` computes that rule from overlap counts
+    (``_forward_exact_overlap``); this sum is the independent check.
     """
     a = validate_order(alpha)
     keep = mixture.weights > 0
@@ -873,6 +880,87 @@ def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
         chunk_pairs *= 2.0  # the exponent sums over ordered pairs
         chunk_logs.append(_logsumexp(inv_two_var * chunk_pairs + chunk_weight))
     return max(0.0, float(_logsumexp(chunk_logs)) / (a - 1))
+
+
+def _subset_moves(h: tuple, k: int):
+    """Every way one k-subset can meet the columns of the level histogram h.
+
+    h[j] columns have sum j.  Yields (next histogram, ways): the subset takes
+    t_j of the h[j] columns at level j to level j + 1, sum_j t_j = k, in
+    prod_j C(h[j], t_j) ways.  Only the nonempty levels are visited, and each
+    t_j only in the range that leaves the later levels enough columns.
+    """
+    levels = [j for j, hj in enumerate(h) if hj]
+    room = list(itertools.accumulate(h[j] for j in reversed(levels)))[::-1] + [0]
+
+    def take(p, left):  # (t over levels[p:], ways)
+        hj = h[levels[p]]
+        for t in range(max(0, left - room[p + 1]), min(hj, left) + 1):
+            ways = math.comb(hj, t)
+            if p + 1 == len(levels):
+                yield (t,), ways
+            else:
+                for rest, more in take(p + 1, left - t):
+                    yield (t,) + rest, ways * more
+
+    for ts, ways in take(0, k):
+        nxt = list(h) + [0]
+        for j, t in zip(levels, ts):
+            nxt[j] -= t
+            nxt[j + 1] += t
+        yield tuple(nxt), ways
+
+
+def _overlap_counts(d: int, k: int, alpha: int) -> list:
+    """Exact counts of the tuples of k-subsets of [d] by their pairwise overlap.
+
+    Entry a (a = 0..alpha) maps u to the number N_u of a-tuples (S_1..S_a)
+    of k-subsets of [d] with sum_{i<j} |S_i & S_j| = u; the counts of entry
+    a sum to C(d,k)^a.  u = sum_v C(s_v, 2) over the column sums s_v of the
+    a x d incidence matrix, so it depends only on their level histogram h
+    (h[j] columns have sum j).  The DP adds the subsets one at a time
+    (``_subset_moves``) and keeps an exact Python-int tuple count per
+    histogram; no count depends on c or sigma.
+    """
+    states = {(d,): 1}
+    counts = [{0: 1}]
+    for _ in range(alpha):
+        nxt = {}
+        for h, count in states.items():
+            for h_next, ways in _subset_moves(h, k):
+                nxt[h_next] = nxt.get(h_next, 0) + count * ways
+        states = nxt
+        by_u = {}
+        for h, count in states.items():
+            u = sum(hj * (j * (j - 1) // 2) for j, hj in enumerate(h))
+            by_u[u] = by_u.get(u, 0) + count
+        counts.append(by_u)
+    return counts
+
+
+def _forward_exact_overlap(family: MixtureFamily, orders) -> np.ndarray:
+    """Exact forward divergence of the k-hot family from overlap counts, per order.
+
+    Every center is c times a k-subset indicator, so a tuple's term in the
+    sum of ``forward_exact_enum`` is n^-alpha exp((c^2/sigma^2) u), with u
+    its pairwise overlap and n = C(d,k).  With the exact counts N_u of
+    ``_overlap_counts`` (one DP up to the largest order), which sum to
+    n^alpha, the moment is 1 + E with
+    E = n^-alpha sum_u N_u expm1((c^2/sigma^2) u) >= 0, and
+    D_alpha = log1p(E) / (alpha - 1).  log E is a log-sum-exp
+    (``_logsumexp`` over ``_log_expm1``) of nonnegative terms, so D keeps
+    full relative precision when it is tiny, and is exactly 0 at c = 0.
+    """
+    counts = _overlap_counts(family.d, family.k, max(orders))
+    rate = family.c * family.c / (family.sigma * family.sigma)
+    log_n = math.log(math.comb(family.d, family.k))
+    out = []
+    for a in orders:
+        overlap = np.array(list(counts[a]), dtype=float)
+        log_ways = np.array([math.log(ways) for ways in counts[a].values()])
+        log_excess = float(_logsumexp(log_ways + _log_expm1(rate * overlap))) - a * log_n
+        out.append(float(np.logaddexp(0.0, log_excess)) / (a - 1))
+    return np.array(out)
 
 
 def _log_poly_mul(la: np.ndarray, lb: np.ndarray, trunc: int) -> np.ndarray:
@@ -966,7 +1054,9 @@ def forward_exact(family: MixtureFamily, orders):
     """The forward-path selector: (forward divergences, rules) per order.
 
     Rule "k1-series" when k == 1 (exact, ``forward_exact_k1_curve``), "enum"
-    when C(d,k)^alpha fits ENUM_TUPLE_LIMIT (exact, ``forward_exact_enum``),
+    when C(d,k)^alpha fits ENUM_TUPLE_LIMIT (exact, from the overlap counts
+    of ``_forward_exact_overlap``, whose tuple sum is that of
+    ``forward_exact_enum``; the rule keeps its name and its tuple guard),
     else "bound" (``_forward_fallback_curve``, an upper bound only).
     """
     a_list = [validate_order(a) for a in orders]
@@ -983,8 +1073,7 @@ def forward_exact(family: MixtureFamily, orders):
     if bound:
         fwd[bound] = _forward_fallback_curve(family, [a_list[i] for i in bound])
     if enum:
-        mixture = family_mixture(family)
-        fwd[enum] = [forward_exact_enum(mixture, a_list[i]) for i in enum]
+        fwd[enum] = _forward_exact_overlap(family, [a_list[i] for i in enum])
     return fwd, rules
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,11 @@ from amplify_acct.rdp_math import (
 )
 from amplify_acct.rdp_math import (
     _ENUM_CHUNK,
+    _forward_exact_overlap,
     _forward_fallback_curve,
     _logsumexp,
     _multiset_columns,
+    _overlap_counts,
     _TwoHotReverse,
     forward_exact_k1_curve,
     forward_poisson_cap_curve,
@@ -457,6 +460,70 @@ class TestForwardExactEnum:
         assert peak <= 16 * _ENUM_CHUNK * 8
 
 
+def brute_overlap_counts(d, k, alpha):
+    """{u: N_u} over every alpha-tuple of k-subsets of [d] (as bit masks), u = sum_{i<j} |S_i & S_j|."""
+    subsets = [sum(1 << v for v in ones) for ones in itertools.combinations(range(d), k)]
+    return Counter(
+        sum((a & b).bit_count() for a, b in itertools.combinations(tup, 2))
+        for tup in itertools.product(subsets, repeat=alpha)
+    )
+
+
+def guard_cells(max_d):
+    """(d, k, orders): the orders of the grid 2..100 whose C(d,k)^alpha tuples fit ENUM_TUPLE_LIMIT."""
+    for d in range(1, max_d + 1):
+        for k in range(1, d + 1):
+            n = math.comb(d, k)
+            yield d, k, [a for a in range(2, 101) if n**a <= rdp_math.ENUM_TUPLE_LIMIT]
+
+
+class TestOverlapCounts:
+    def test_counts_equal_brute_force(self):
+        cells = 0
+        for d in range(1, 7):
+            for k in range(1, d + 1):  # k = d included: one center
+                counts = _overlap_counts(d, k, 5)
+                for alpha in range(2, 6):
+                    if math.comb(d, k) ** alpha <= 2 * 10**5:
+                        assert counts[alpha] == brute_overlap_counts(d, k, alpha), (d, k, alpha)
+                        cells += 1
+        assert cells == 81
+
+    def test_counts_sum_to_every_tuple_on_guard_cells(self):
+        for d, k, orders in guard_cells(12):
+            counts = _overlap_counts(d, k, max(orders))
+            for alpha in orders:
+                assert sum(counts[alpha].values()) == math.comb(d, k) ** alpha, (d, k, alpha)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
+    def test_kernel_matches_mpmath_sum_of_the_counts(self, sigma):
+        import mpmath as mp
+
+        for d, k, orders in guard_cells(8):
+            orders = [a for a in orders if a <= 12]
+            counts = _overlap_counts(d, k, max(orders))
+            values = _forward_exact_overlap(MixtureFamily(d, k, 1.0, sigma), orders)
+            with mp.workdps(50):
+                rate = mp.mpf(1.0 / (sigma * sigma))  # the kernel's rounded c^2/sigma^2
+                for alpha, value in zip(orders, values):
+                    moment = sum(ways * mp.exp(rate * u) for u, ways in counts[alpha].items())
+                    truth = mp.log(moment / mp.mpf(math.comb(d, k)) ** alpha) / (alpha - 1)
+                    assert value == pytest.approx(float(truth), rel=1e-13, abs=1e-300), (d, k, alpha)
+
+    @pytest.mark.parametrize("d,k,alpha", [(10, 4, 3), (3162, 3161, 2)])
+    def test_peak_memory_is_below_a_megabyte(self, d, k, alpha):
+        # Enumeration peaks near 104 MB at Bis(10, 4), alpha = 3, and the
+        # 3162-center mixture alone takes 80 MB.
+        tracemalloc.start()
+        try:
+            _, rules = forward_exact(MixtureFamily(d, k, 1.0, 2.0), [alpha])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rules == ("enum",)
+        assert peak <= 1 << 20
+
+
 class TestForwardExactK1:
     def test_single_block_reduces_to_gaussian(self):
         assert forward_exact_k1_curve(1, 1, 1, 1.0, [5])[0] == pytest.approx(2.5, abs=1e-12)
@@ -597,8 +664,20 @@ class TestForwardExactSelector:
         assert rules == ("enum",) * 6 + ("bound",) * 2
         mixture = family_mixture(family)
         for alpha, value in zip(range(2, 8), values[:6]):
-            assert value == forward_exact_enum(mixture, alpha)
+            assert value == pytest.approx(forward_exact_enum(mixture, alpha), rel=1e-12)
         assert values[6:].tolist() == _forward_fallback_curve(family, [8, 9]).tolist()
+
+    def test_rules_follow_the_tuple_guard(self):
+        # C(10,4) = 210: 210^3 tuples fit, 210^4 do not.  C(2000,1999)^2 =
+        # 4e6 fits: an "enum" cell whose mixture alone would take 32 MB.
+        bis_10_4 = MixtureFamily(10, 4, 1.0, 2.0)
+        assert forward_exact(bis_10_4, range(2, 21))[1] == ("enum",) * 2 + ("bound",) * 17
+        values, rules = forward_exact(MixtureFamily(2000, 1999, 1.0, 30.0), [2])
+        assert rules == ("enum",)
+        # Two 1999-subsets of [2000] share 1999 entries (probability 1/2000)
+        # or 1998, and the order-2 moment is E exp((c/sigma)^2 overlap).
+        rate = 1.0 / 900.0
+        assert values[0] == pytest.approx(1998.0 * rate + math.log1p(math.expm1(rate) / 2000.0), rel=1e-14)
 
     def test_one_hot_family_takes_the_series(self):
         values, rules = forward_exact(MixtureFamily(7, 1, 1.3, 0.9), [2, 5, 40])
