@@ -12,7 +12,7 @@ Curve provenance per order:
   (Poisson-subsampled Gaussian, the d = 1 case of the one-hot series).
 * ``"tight"`` -- exact forward divergence paired with the reverse bound.
 * ``"loose"`` -- overlap-count forward bound paired with the reverse bound
-  (either requested explicitly or forced by the enumeration cost guard).
+  (either requested explicitly or forced by the n^alpha tuple guard).
 
 A ``PoissonGaussian`` curve is per iteration; pass the iteration count to
 ``scale_curve`` (or the ``count`` arguments elsewhere) to account a full run.

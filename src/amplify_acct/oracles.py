@@ -425,7 +425,7 @@ def forward_exact_value(family: MixtureFamily, alpha) -> float:
     """``rdp_math.forward_exact`` at one order; CostLimitError where it is only a bound."""
     (value,), (rule,) = forward_exact(family, [alpha])
     if rule == "bound":
-        raise CostLimitError(f"no exact forward path for {family} at order {alpha} fits the enumeration budget")
+        raise CostLimitError(f"no exact forward path for {family} at order {alpha} fits the n^alpha tuple guard")
     return float(value)
 
 

@@ -10,9 +10,9 @@ orders ``alpha >= 2`` this module evaluates:
 * ``forward_bound``          -- overlap-count upper bound on the
                                 mixture-vs-Gaussian divergence, O(k) terms.
 * ``forward_exact_enum``     -- exact divergence of an arbitrary small
-                                mixture, summed over index multisets (numpy
-                                prefix columns, the last index in chunks)
-                                with multinomial weights; guarded by n^alpha
+                                mixture, summed over index multisets from
+                                itertools, a chunk at a time, with
+                                multinomial weights; guarded by n^alpha
                                 tuples.  The tests' independent reference.
 * ``_forward_exact_overlap`` -- exact divergence of the k-hot family from
                                 integer counts of the tuples by pairwise
@@ -788,23 +788,6 @@ def reverse_bound(family: MixtureFamily, alpha) -> float:
     return float(reverse_bound_curve(family, [alpha])[0])
 
 
-def _multiset_columns(n: int, length: int) -> list:
-    """Columns of the sorted length-tuples over range(n), in lexicographic order.
-
-    Built level by level: each row of the shorter level is repeated
-    n - last times, and the new column is a ragged arange that starts at the
-    row's last entry.  Row i is the i-th multiset of size length in
-    lexicographic order.
-    """
-    cols = [np.arange(n)]
-    for _ in range(1, length):
-        counts = n - cols[-1]
-        rows = np.repeat(np.arange(len(counts)), counts)
-        offset = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        cols = [col[rows] for col in cols] + [cols[-1][rows] + offset]
-    return cols
-
-
 def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
     """Exact mixture-vs-centered-Gaussian divergence by multiset enumeration.
 
@@ -812,21 +795,10 @@ def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
     (prod_i w_{I_i}) * exp( (1/(2 sigma^2)) sum_{i != j} mu_{I_i} . mu_{I_j} ).
 
     A term depends only on the multiset of I, so the sum runs over sorted
-    tuples in lexicographic order, each weighted by alpha!/prod_v m_v!:
-    log m_v! adds log(j+1) for the entry j places into its run of equal
-    entries.  The sorted (alpha-1)-prefixes are numpy columns
-    (``_multiset_columns``, at most C(n+alpha-2, alpha-1) rows inside the
-    guard), and each carries its run position, log weight and pair sum.  The
-    last position is expanded _ENUM_CHUNK multisets at a time:
-    ``np.searchsorted`` on the cumulative expansion counts finds the first
-    and last prefix row of a chunk, ``np.repeat`` the rows in between, and
-    the chunk's terms are log-sum-exp'ed, then the chunk results are.
-    Every term is built by the same float operations in the same order as
-    a per-tuple loop over positions (log w of the first entry plus
-    lgamma(alpha+1), then per position p its weight and the gram entries
-    q = 0..p-1), and the chunks hold the same terms in the same order, so
-    the result does not depend on how the tuples are generated, bit for bit.
-    The summation runs in log space.
+    tuples from ``itertools.combinations_with_replacement``, _ENUM_CHUNK at a
+    time, each weighted by alpha!/prod_v m_v!: log m_v! adds log(j+1) for the
+    entry j places into its run of equal entries.  Each chunk's terms are
+    log-sum-exp'ed, then the chunk results are.
     Raises CostLimitError when n^alpha exceeds ENUM_TUPLE_LIMIT, the guard
     ``forward_exact`` applies to C(d,k)^alpha before its "enum" rule; it
     counts tuples, not multisets (ROADMAP item 2 weighs widening it).
@@ -843,42 +815,28 @@ def forward_exact_enum(mixture: GenericMixture, alpha) -> float:
         raise CostLimitError(
             f"n^alpha = {n}^{a} = {total_tuples} tuples exceeds the {ENUM_TUPLE_LIMIT} enumeration budget"
         )
-    gram = (centers @ centers.T).ravel()  # mu_i . mu_j at i * n + j
+    gram = centers @ centers.T
     log_w = np.log(weights)
     log_j = np.log(np.arange(1.0, a + 1.0))  # log(j + 1) for run position j
     inv_two_var = 1.0 / (2.0 * mixture.sigma**2)
 
-    prefix = _multiset_columns(n, a - 1)
-    gram_rows = [col * n for col in prefix]
-    run_pos = np.zeros_like(prefix[0])
-    log_weight = log_w[prefix[0]] + math.lgamma(a + 1)
-    pair_sum = np.zeros(len(prefix[0]))
-    for p in range(1, a - 1):
-        run_pos = np.where(prefix[p] == prefix[p - 1], run_pos + 1, 0)
-        log_weight += log_w[prefix[p]] - log_j[run_pos]
-        for q in range(p):
-            pair_sum += gram[gram_rows[q] + prefix[p]]
-
-    counts = n - prefix[-1]  # a prefix row extends by its last entry .. n - 1
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
+    multisets = itertools.combinations_with_replacement(range(n), a)
     chunk_logs = []
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-        span = counts[first : last + 1].copy()  # each row's multisets inside [start, stop)
-        span[0] = ends[first] - start
-        span[-1] -= ends[last] - stop
-        rows = np.repeat(np.arange(first, last + 1), span)
-        entry = n + np.arange(start, stop) - ends[rows]
-        chunk_run = np.where(entry == prefix[-1][rows], run_pos[rows] + 1, 0)
-        chunk_weight = log_weight[rows]
-        chunk_weight += log_w[entry] - log_j[chunk_run]
-        chunk_pairs = pair_sum[rows]
-        for q in range(a - 1):
-            chunk_pairs += gram[gram_rows[q][rows] + entry]
-        chunk_pairs *= 2.0  # the exponent sums over ordered pairs
-        chunk_logs.append(_logsumexp(inv_two_var * chunk_pairs + chunk_weight))
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(multisets, _ENUM_CHUNK))
+        cols = np.fromiter(flat, dtype=np.int64).reshape(-1, a).T
+        if not cols.size:
+            break
+        run_pos = np.zeros_like(cols[0])
+        log_weight = log_w[cols[0]] + math.lgamma(a + 1)
+        pair_sum = np.zeros(cols.shape[1])
+        for p in range(1, a):
+            run_pos = np.where(cols[p] == cols[p - 1], run_pos + 1, 0)
+            log_weight += log_w[cols[p]] - log_j[run_pos]
+            for q in range(p):
+                pair_sum += gram[cols[q], cols[p]]
+        pair_sum *= 2.0  # the exponent sums over ordered pairs
+        chunk_logs.append(_logsumexp(inv_two_var * pair_sum + log_weight))
     return max(0.0, float(_logsumexp(chunk_logs)) / (a - 1))
 
 

@@ -22,29 +22,19 @@
                                 ``oracles._logsumexp_centers`` shifts by the
                                 max and sums in place instead, and is
                                 checked against it.
-* ``forward_exact_enum_itertools`` -- exact forward divergence from sorted
-                                tuples built one Python tuple at a time
-                                by ``itertools.combinations_with_replacement``;
-                                ``rdp_math.forward_exact_enum`` builds them as
-                                numpy prefix columns and must match it bit
-                                for bit.
+
+The exact forward enumeration has no copy here: ``rdp_math.forward_exact_enum``
+is itself the independent check of the overlap-count path, and
+``tests/test_rdp_math.py`` checks it against a per-tuple loop
+(``naive_enum_forward``).
 """
 
-import itertools
 import math
 
 import numpy as np
 
 from amplify_acct.oracles import _GRID_CHUNK_CELLS, QuadratureSpec, _axis_log_weights, _grid_axes, mixture_logpdf
-from amplify_acct.rdp_math import (
-    _ENUM_CHUNK,
-    ENUM_TUPLE_LIMIT,
-    CostLimitError,
-    GenericMixture,
-    MixtureFamily,
-    _logsumexp,
-    validate_order,
-)
+from amplify_acct.rdp_math import GenericMixture, MixtureFamily, _logsumexp, validate_order
 
 
 class DivergenceUndefinedError(ValueError):
@@ -157,45 +147,3 @@ def quad_renyi_points(m_num: GenericMixture, m_den: GenericMixture, alpha, spec:
         vals = a * mixture_logpdf(m_num, pts) + (1 - a) * mixture_logpdf(m_den, pts) + logw
         chunk_logs.append(_logsumexp(vals))
     return float(_logsumexp(chunk_logs)) / (a - 1)
-
-
-def forward_exact_enum_itertools(mixture: GenericMixture, alpha) -> float:
-    """``rdp_math.forward_exact_enum`` with the multisets from itertools.
-
-    The sorted tuples come from ``combinations_with_replacement`` in row
-    chunks of _ENUM_CHUNK, each weighted by alpha!/prod_v m_v!: log m_v!
-    adds log(j+1) for the entry j places into its run of equal entries.
-    """
-    a = validate_order(alpha)
-    keep = mixture.weights > 0
-    centers = mixture.centers[keep]
-    weights = mixture.weights[keep]
-    n = len(centers)
-    total_tuples = n**a
-    if total_tuples > ENUM_TUPLE_LIMIT:
-        raise CostLimitError(
-            f"n^alpha = {n}^{a} = {total_tuples} tuples exceeds the {ENUM_TUPLE_LIMIT} enumeration budget"
-        )
-    gram = centers @ centers.T
-    log_w = np.log(weights)
-    log_j = np.log(np.arange(1.0, a + 1.0))  # log(j + 1) for run position j
-    inv_two_var = 1.0 / (2.0 * mixture.sigma**2)
-
-    multisets = itertools.combinations_with_replacement(range(n), a)
-    chunk_logs = []
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(multisets, _ENUM_CHUNK))
-        cols = np.fromiter(flat, dtype=np.int64).reshape(-1, a).T
-        if not cols.size:
-            break
-        run_pos = np.zeros_like(cols[0])
-        log_weight = log_w[cols[0]] + math.lgamma(a + 1)
-        pair_sum = np.zeros(cols.shape[1])
-        for p in range(1, a):
-            run_pos = np.where(cols[p] == cols[p - 1], run_pos + 1, 0)
-            log_weight += log_w[cols[p]] - log_j[run_pos]
-            for q in range(p):
-                pair_sum += gram[cols[q], cols[p]]
-        pair_sum *= 2.0  # the exponent sums over ordered pairs
-        chunk_logs.append(_logsumexp(inv_two_var * pair_sum + log_weight))
-    return max(0.0, float(_logsumexp(chunk_logs)) / (a - 1))

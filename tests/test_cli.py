@@ -1,9 +1,7 @@
 import json
 import os
-import re
 import subprocess
 import sys
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -515,56 +513,44 @@ def _load_golden_recorder():
     return module
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
-
-
-def _numbers_agree(got: str, want: str) -> bool:
-    """Ints exactly; floats to 1e-12 relative, or one unit in the 12th digit of a 12-digit print."""
-    if got == want:
-        return True
-    if re.fullmatch(r"[-+]?\d+", want):
-        return False
-    g, w = Decimal(got), Decimal(want)
-    if not (g.is_finite() and w.is_finite()):
-        return False
-    tol = Decimal("1e-12") * abs(w)
-    if len(w.as_tuple().digits) <= 12:
-        tol = max(tol, Decimal(1).scaleb(w.adjusted() - 11))
-    return abs(g - w) <= tol
-
-
-def _golden_mismatch(got: str, want: str):
-    """None when the texts agree; else the first differing line."""
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    if len(got_lines) != len(want_lines):
-        return f"{len(got_lines)} lines, golden has {len(want_lines)}"
-    for g, w in zip(got_lines, want_lines):
-        same_text = _NUMBER.sub("#", g) == _NUMBER.sub("#", w)
-        g_nums, w_nums = _NUMBER.findall(g), _NUMBER.findall(w)
-        if not same_text or not all(_numbers_agree(a, b) for a, b in zip(g_nums, w_nums)):
-            return f"got    {g}\ngolden {w}"
-    return None
-
-
 def test_golden_outputs():
     recorder = _load_golden_recorder()
     failures = []
     for command in recorder.load_commands():
-        target = os.path.join(recorder.GOLDEN_DIR, command["name"])
-        want = {}
-        for root, _, files in os.walk(target):
-            for name in files:
-                with open(os.path.join(root, name)) as fh:
-                    want[os.path.relpath(os.path.join(root, name), target)] = fh.read()
+        want = recorder.load_golden(command["name"])
         got = recorder.run_command(command)
         if sorted(got) != sorted(want):
             failures.append(f"{command['name']}: files {sorted(got)}, golden has {sorted(want)}")
             continue
         for rel in sorted(want):
-            diff = _golden_mismatch(got[rel], want[rel])
+            diff = recorder.golden_mismatch(got[rel], want[rel])
             if diff is not None:
                 failures.append(f"{command['name']}/{rel}:\n{diff}")
     assert not failures, (
         "CLI outputs differ from tests/golden (if the change is intended, regenerate them with "
         "`PYTHONPATH=src python3 scripts/record_goldens.py` and review the diff):\n" + "\n".join(failures)
     )
+
+
+@pytest.mark.parametrize("out_dir", [None, "out"])
+@pytest.mark.parametrize(
+    "fresh,kept",
+    [
+        ('{"T": 10, "tail_term": 0.09012024665725527}\n', True),  # 4.9e-15 relative
+        ('{"T": 10, "tail_term": 0.09012024674737597}\n', False),  # 1e-9 relative
+        ('{"T": 11, "tail_term": 0.09012024665725571}\n', False),
+    ],
+)
+def test_recorder_keeps_the_golden_text_it_agrees_with(tmp_path, monkeypatch, fresh, kept, out_dir):
+    recorder = _load_golden_recorder()
+    golden_dir = tmp_path / "golden"
+    (golden_dir / "demo").mkdir(parents=True)
+    (golden_dir / "commands.json").write_text(json.dumps([{"name": "demo", "argv": []}]))
+    golden = '{"T": 10, "tail_term": 0.09012024665725571}\n'
+    (golden_dir / "demo" / "stdout").write_text(golden)
+    monkeypatch.setattr(recorder, "GOLDEN_DIR", str(golden_dir))
+    monkeypatch.setattr(recorder, "run_command", lambda command: {"stdout": fresh})
+    target = golden_dir if out_dir is None else tmp_path / out_dir
+    monkeypatch.setattr(sys, "argv", ["record_goldens.py"] + ([] if out_dir is None else [str(target)]))
+    recorder.main()
+    assert (target / "demo" / "stdout").read_text() == (golden if kept else fresh)

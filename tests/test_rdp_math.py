@@ -31,7 +31,6 @@ from amplify_acct.rdp_math import (
     _forward_exact_overlap,
     _forward_fallback_curve,
     _logsumexp,
-    _multiset_columns,
     _overlap_counts,
     _TwoHotReverse,
     forward_exact_k1_curve,
@@ -41,7 +40,6 @@ from amplify_acct.rdp_math import (
 from amplify_acct import rdp_math
 from reference_formulas import (
     DivergenceUndefinedError,
-    forward_exact_enum_itertools,
     gaussian_rdp_same_mean,
     reverse_bound_paper,
 )
@@ -398,6 +396,21 @@ class TestForwardExactEnum:
         centers = np.array([[0.8, 0.0], [0.8, 0.0], [0.0, 1.1], [-0.4, 0.5], [2.0, 2.0]])
         weights = np.array([0.25, 0.15, 0.4, 0.2, 0.0])
         cases += [(centers, weights, 0.9, alpha) for alpha in (3, 5, 6)]
+        # Unequal weights, one or two of them zero, and a duplicated center, at
+        # every order whose n^alpha tuples fit 4096.
+        for _ in range(6):
+            n = int(rng.integers(3, 7))
+            centers = rng.normal(scale=1.1, size=(n, int(rng.integers(1, 4))))
+            centers[1] = centers[0]
+            weights = rng.random(n)
+            weights[n // 2 + 1 :] = 0.0
+            weights /= weights.sum()
+            sigma = float(rng.uniform(0.6, 2.5))
+            cases += [(centers, weights, sigma, alpha) for alpha in range(2, 7) if n**alpha <= 4096]
+        # A single center, and the C(2,2) = 1 center of the two-hot family.
+        cases += [(np.array([[0.7, -0.2]]), np.ones(1), 0.8, alpha) for alpha in (2, 5, 9)]
+        two_hot = family_mixture(MixtureFamily(2, 2, 1.3, 1.1))
+        cases.append((two_hot.centers, two_hot.weights, two_hot.sigma, 12))
         for centers, weights, sigma, alpha in cases:
             expected = naive_enum_forward(centers, weights, sigma, alpha)
             got = forward_exact_enum(GenericMixture(centers, weights, sigma), alpha)
@@ -413,51 +426,22 @@ class TestForwardExactEnum:
         mixture = GenericMixture(centers, np.array([1.0, 0.0]), 1.0)
         assert forward_exact_enum(mixture, 3) == pytest.approx(gaussian_rdp(1, 1, 3), rel=1e-12)
 
-    @pytest.mark.parametrize("n,length", [(1, 1), (1, 4), (5, 1), (4, 3), (7, 4), (12, 2)])
-    def test_multiset_columns_are_the_sorted_tuples(self, n, length):
-        rows = np.column_stack(_multiset_columns(n, length))
-        assert rows.tolist() == [list(t) for t in itertools.combinations_with_replacement(range(n), length)]
-
-    def test_bit_identical_to_itertools_enumeration(self):
-        cases = []
-        # Bis(T=10, k=4): 210 centers.  At alpha = 3 its 1,565,620 multisets
-        # take 12 chunks; 10 of the 11 chunk boundaries fall inside one
-        # prefix's run of last entries, and one at the end of a run.
-        for sigma in (1.5, 2.0, 2.5, 3.0):
-            mixture = family_mixture(MixtureFamily(10, 4, 1.0, sigma))
-            cases += [(mixture, alpha) for alpha in (2, 3)]
-        # Every order inside the n^alpha guard; C(2,2) = 1 center at every order.
-        for (d, k), max_order in {(5, 2): 9, (6, 3): 9, (7, 3): 9, (4, 2): 9, (2, 2): 12, (80, 1): 3}.items():
-            mixture = family_mixture(MixtureFamily(d, k, 1.3, 1.1))
-            n = math.comb(d, k)
-            cases += [(mixture, alpha) for alpha in range(2, max_order + 1) if n**alpha <= rdp_math.ENUM_TUPLE_LIMIT]
-        cases += [(GenericMixture(np.array([[0.7, -0.2]]), np.ones(1), 0.8), alpha) for alpha in (2, 5, 9)]
-        # Unequal weights, zero weights and duplicated centers.
-        rng = np.random.default_rng(20261019)
-        for _ in range(12):
-            n = int(rng.integers(2, 9))
-            centers = rng.normal(scale=1.1, size=(n, int(rng.integers(1, 4))))
-            centers[rng.integers(n)] = centers[rng.integers(n)]
-            weights = rng.random(n) * (rng.random(n) > 0.2)
-            weights[rng.integers(n)] += 0.1
-            weights /= weights.sum()
-            mixture = GenericMixture(centers, weights, float(rng.uniform(0.6, 2.5)))
-            cases += [(mixture, alpha) for alpha in range(2, 7)]
-        assert len(cases) > 60
-        for mixture, alpha in cases:
-            assert forward_exact_enum(mixture, alpha) == forward_exact_enum_itertools(mixture, alpha)
-
     def test_peak_memory_is_bounded_by_the_chunk(self):
         # 1,565,620 multisets of 3 indices: as one chunk the call peaks near
-        # 104 MB.  Chunked, the working set is a few chunk arrays.
-        mixture = family_mixture(MixtureFamily(10, 4, 1.0, 2.0))
+        # 115 MB, chunked near 10 MB: a few chunk arrays.  tracemalloc traces
+        # every itertools tuple, so this test takes seconds.
+        family = MixtureFamily(10, 4, 1.0, 2.0)
+        mixture = family_mixture(family)
         tracemalloc.start()
         try:
-            forward_exact_enum(mixture, 3)
+            value = forward_exact_enum(mixture, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * _ENUM_CHUNK * 8
+        # The only test cell that spans chunks (12): their log-sums must
+        # reduce to the value of the independent overlap counts.
+        assert value == pytest.approx(_forward_exact_overlap(family, [3])[0], rel=1e-12)
 
 
 def brute_overlap_counts(d, k, alpha):
@@ -512,8 +496,8 @@ class TestOverlapCounts:
 
     @pytest.mark.parametrize("d,k,alpha", [(10, 4, 3), (3162, 3161, 2)])
     def test_peak_memory_is_below_a_megabyte(self, d, k, alpha):
-        # Enumeration peaks near 104 MB at Bis(10, 4), alpha = 3, and the
-        # 3162-center mixture alone takes 80 MB.
+        # Enumeration peaks near 10 MB at Bis(10, 4), alpha = 3 (115 MB as
+        # one chunk), and the 3162-center mixture alone takes 80 MB.
         tracemalloc.start()
         try:
             _, rules = forward_exact(MixtureFamily(d, k, 1.0, 2.0), [alpha])
