@@ -37,6 +37,7 @@ import numpy as np
 
 from .rdp_math import (
     MixtureFamily,
+    check_fields,
     epsilon_loose_curve,
     epsilon_tight_curve,
     forward_exact_k1_curve,
@@ -76,13 +77,6 @@ class CalibrationBracketError(ValueError):
     """The sigma bracket does not enclose the calibration target."""
 
 
-def _check_clip_noise(c: float, sigma: float) -> None:
-    if c < 0:
-        raise ValueError(f"clipping norm must be nonnegative, got {c}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-
-
 @dataclass(frozen=True)
 class Gaussian:
     """One release of a sum with l2 sensitivity c plus N(0, sigma^2 I) noise."""
@@ -92,11 +86,10 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
-        _check_clip_noise(self.c, self.sigma)
+        check_fields(self)
 
     def _curve(self, orders, mode):
-        eps = np.array(orders, dtype=float) * self.c**2 / (2.0 * self.sigma**2)
-        return eps, ("exact",) * len(orders)
+        return forward_exact_k1_curve(1, self.c, self.sigma, 1.0, orders), ("exact",) * len(orders)
 
 
 @dataclass(frozen=True)
@@ -113,9 +106,7 @@ class PoissonGaussian:
     gamma: float
 
     def __post_init__(self):
-        _check_clip_noise(self.c, self.sigma)
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        check_fields(self)
 
     def _curve(self, orders, mode):
         return forward_exact_k1_curve(1, self.c, self.sigma, self.gamma, orders), ("exact",) * len(orders)
@@ -131,9 +122,7 @@ class ModelSplit:
     sigma: float
 
     def __post_init__(self):
-        _check_clip_noise(self.c, self.sigma)
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        check_fields(self)
 
     def _curve(self, orders, mode):
         return _split_family_curve(MixtureFamily(d=self.d, k=1, c=self.c, sigma=self.sigma), orders, mode)
@@ -168,11 +157,7 @@ class PartialSplit:
     sigma: float
 
     def __post_init__(self):
-        _check_clip_noise(self.c_split, self.sigma)
-        if self.c_nonsplit < 0:
-            raise ValueError(f"c_nonsplit must be nonnegative, got {self.c_nonsplit}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        check_fields(self)
 
     def _curve(self, orders, mode):
         split, prov = ModelSplit(d=self.d, c=self.c_split, sigma=self.sigma)._curve(orders, mode)
@@ -194,11 +179,7 @@ class Bis:
     sigma: float
 
     def __post_init__(self):
-        _check_clip_noise(self.c, self.sigma)
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if not 1 <= self.k <= self.T:
-            raise ValueError(f"k must satisfy 1 <= k <= T, got k={self.k}, T={self.T}")
+        check_fields(self)
 
     def _curve(self, orders, mode):
         return _split_family_curve(MixtureFamily(d=self.T, k=self.k, c=self.c, sigma=self.sigma), orders, mode)
@@ -264,8 +245,7 @@ class DpGuarantee:
     achieving_order: int
 
     def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        check_fields(self)
 
 
 def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -> RdpCurve:
@@ -286,8 +266,7 @@ def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -
 
 def scale_curve(curve: RdpCurve, count: int) -> RdpCurve:
     """count sequential runs of the mechanism behind ``curve``."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_fields(count=count)
     return RdpCurve(curve.orders, count * curve.epsilons, curve.provenance)
 
 
@@ -297,8 +276,7 @@ def to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
     epsilon = min over alpha of eps(alpha) + log(1/delta)/(alpha - 1); ties
     break to the smallest order.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_fields(delta=delta)
     a = np.array(curve.orders, dtype=float)
     candidates = curve.epsilons + math.log(1.0 / delta) / (a - 1.0)
     idx = int(np.argmin(candidates))  # argmin returns the first minimum
@@ -365,8 +343,7 @@ def calibrate_sigma(
     endpoints.  The result is the last probe at or below the target (the
     bracket's hi end), so achieved <= target always holds.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_fields(count=count)
     if target_epsilon <= 0:
         raise ValueError(f"target epsilon must be positive, got {target_epsilon}")
     c = _clip_scale(template)
@@ -430,8 +407,7 @@ def bis_epoch_composition(
     k_epoch*n_epochs) curve: organizing iterations into epochs removes
     randomness.
     """
-    if n_epochs < 1:
-        raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
+    check_fields(n_epochs=n_epochs)
     return scale_curve(rdp_curve(Bis(T=T_epoch, k=k_epoch, c=c, sigma=sigma), orders, mode), n_epochs)
 
 

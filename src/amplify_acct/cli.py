@@ -91,7 +91,7 @@ from .oracles import (
     verify_sandwich,
 )
 # forward_exact_enum: bound here for perfbench/tests/test_perfbench.py's binding test (ROADMAP item 1)
-from .rdp_math import MixtureFamily, family_mixture, forward_bound, forward_exact_enum, validate_order
+from .rdp_math import MixtureFamily, check_fields, family_mixture, forward_bound, forward_exact_enum, validate_order
 from .training_sim import (
     SimConfig,
     even_split_plan,
@@ -193,8 +193,7 @@ def _curve_mechanisms(args):
             count = int(kv.pop("count", 1))
             if kv:
                 raise CliError(f"unknown mechanism parameter(s) {sorted(kv)} for {mechanism_label(spec)}")
-            if count < 1:
-                raise CliError(f"count must be >= 1, got {count}")
+            check_fields(count=count)
             pairs.append((spec, count))
     if not pairs:
         raise CliError("curve needs at least one mechanism flag")

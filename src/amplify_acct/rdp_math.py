@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +62,7 @@ __all__ = [
     "CostLimitError",
     "GenericMixture",
     "MixtureFamily",
+    "check_fields",
     "epsilon_loose",
     "epsilon_loose_curve",
     "epsilon_tight",
@@ -94,6 +95,38 @@ def validate_order(alpha) -> int:
     if a != alpha or a < 2:
         raise ValueError(f"Renyi order must be an integer >= 2, got {alpha!r}")
     return a
+
+
+# The rule for each field name: what a valid value must do, and the test that
+# finds an invalid one.  k has its own rule in ``check_fields``.
+_FIELD_RULES = {
+    **dict.fromkeys(("c", "c_split", "c_nonsplit"), ("be nonnegative", lambda v: v < 0)),
+    "sigma": ("be positive", lambda v: v <= 0),
+    **dict.fromkeys(
+        ("d", "T", "count", "n_epochs", "n_samples", "param_dim", "in_dim", "hidden_dim"), ("be >= 1", lambda v: v < 1)
+    ),
+    "gamma": ("be in (0, 1]", lambda v: not 0 < v <= 1),
+    "delta": ("be in (0, 1)", lambda v: not 0 < v < 1),
+}
+
+
+def check_fields(spec=None, /, **values) -> None:
+    """Raise ValueError "{name} must ..., got {value}" for the first value that breaks its name's rule.
+
+    The values are the fields of the dataclass ``spec``, or the keywords.
+    c, c_split and c_nonsplit are >= 0; sigma > 0; d, T, count, n_epochs and
+    the task sizes >= 1; gamma in (0, 1]; delta in (0, 1); 1 <= k <= T, or
+    <= d where there is no T.  Names without a rule pass unchecked.
+    """
+    if spec is not None:
+        values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    for name, value in values.items():
+        if name == "k":
+            top = "T" if "T" in values else "d"
+            if not 1 <= value <= values[top]:
+                raise ValueError(f"k must satisfy 1 <= k <= {top}, got k={value}, {top}={values[top]}")
+        elif name in _FIELD_RULES and _FIELD_RULES[name][1](value):
+            raise ValueError(f"{name} must {_FIELD_RULES[name][0]}, got {value}")
 
 
 def _logsumexp(a, axis=None):
@@ -151,14 +184,7 @@ class MixtureFamily:
     sigma: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not 1 <= self.k <= self.d:
-            raise ValueError(f"k must satisfy 1 <= k <= d, got k={self.k}, d={self.d}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.c < 0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -182,8 +208,7 @@ class GenericMixture:
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {weights.sum()!r}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        check_fields(sigma=self.sigma)
 
     @property
     def dim(self) -> int:
@@ -211,10 +236,7 @@ def gaussian_rdp(c: float, sigma: float, alpha) -> float:
     unit norm.
     """
     a = validate_order(alpha)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if c < 0:
-        raise ValueError(f"c must be nonnegative, got {c}")
+    check_fields(c=c, sigma=sigma)
     return a * c * c / (2.0 * sigma * sigma)
 
 
@@ -224,19 +246,19 @@ def _orders_array(orders) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _overlap_log_weights(d: int, k: int) -> np.ndarray:
-    """log of C(k,l) C(d-k,k-l) / C(d,k) for l = 0..k.
+    """log of C(k,l) C(d-k,k-l) / C(d,k) for l = 0..k (-inf off the support l >= 2k - d).
 
-    Exact integer binomials keep the weights accurate to a few ulp; beyond
-    k = 700 the integers get slow and log-gamma (absolute error around
-    1e-8 on these magnitudes) takes over.
+    Exact integer binomials keep the weights accurate to a few ulp.  They
+    run over the support, at most min(k, d-k) + 1 terms; beyond
+    min(k, d-k) = 700 the integers get slow and log-gamma (absolute error
+    around 1e-8 on these magnitudes) takes over.
     """
-    if k <= 700:
+    if min(k, d - k) <= 700:
         log_cdk = math.log(math.comb(d, k))
-        weights = []
-        for l in range(k + 1):
-            ways = math.comb(k, l) * math.comb(d - k, k - l)
-            weights.append(math.log(ways) - log_cdk if ways else -math.inf)
-        return np.array(weights)
+        weights = np.full(k + 1, -math.inf)
+        for l in range(max(0, 2 * k - d), k + 1):
+            weights[l] = math.log(math.comb(k, l) * math.comb(d - k, k - l)) - log_cdk
+        return weights
     l = np.arange(k + 1)
     return log_comb(k, l) + log_comb(d - k, k - l) - log_comb(d, k)
 
@@ -681,19 +703,19 @@ class _TwoHotReverse(_ReverseQuadrature):
         q = np.log(np.minimum(target, u[-1]) + _REV_TWO_HOT_U0)
         cell = np.clip(np.searchsorted(xi, q) - 1, 0, len(xi) - 2)
         dq = q - xi[cell]
-        col = np.arange(len(t))
+        flat = cell * len(t) + np.arange(len(t))  # index of (cell, t) in a spline's flattened (cell, t) axes
         ym1 = np.expm1(s * z - 0.5 * s * s) if excess else y
         decay = log_wt - u[:, None] * ym1  # (grid, z)
         g = np.zeros((len(xi), len(t)))
         for j in range(1, self.d + 1):
             rows = slice(0, 1) if j == self.d else slice(None)  # the last level needs u = 0 only
-            expo = np.repeat(decay[rows, :, None], len(t), axis=2)
+            expo = np.broadcast_to(decay[rows, :, None], dq[rows].shape)
             if excess and j > 1:
-                expo -= (j - 1) * ym1[:, None] * tau
+                expo = expo - (j - 1) * ym1[:, None] * tau
             if j > 1:
-                c = _not_a_knot_spline(xi, g)
-                idx, dx = cell[rows], dq[rows]
-                expo += ((c[0][idx, col] * dx + c[1][idx, col]) * dx + c[2][idx, col]) * dx + c[3][idx, col]
+                c0, c1, c2, c3 = np.take(_not_a_knot_spline(xi, g).reshape(4, -1), flat[rows], axis=1)
+                dx = dq[rows]
+                expo = expo + (((c0 * dx + c1) * dx + c2) * dx + c3)
                 if excess:
                     expo += (j - 1) * beyond[rows]  # R_j = G_j + j u + const past the top
             top = expo.max(axis=1)
@@ -768,7 +790,9 @@ def reverse_bound_curve(family: MixtureFamily, orders) -> np.ndarray:
     # of each other orthogonal to the all-ones direction, and differ along it
     # only by their means, so D_k = D_(d-k) + alpha theta (2k - d) exactly.
     blocks = min(k, d - k)
-    vals = a * theta * max(0, 2 * k - d)
+    vals = np.zeros(len(a))
+    if 2 * k > d:  # the shift in the Gaussian's closed form: k = d = 1 is that Gaussian, bit for bit
+        vals = (2 * k - d) * forward_exact_k1_curve(1, c, sigma, 1.0, orders)
     if blocks:
         q, r = divmod(d, blocks)  # r blocks of size q + 1, the rest of size q
         block_sum = (blocks - r) * _one_hot_reverse(q, s, theta, a)
@@ -958,7 +982,9 @@ def forward_exact_k1_curve(d: int, c: float, sigma: float, gamma: float, orders)
     alpha! [z^alpha] e^((1-gamma) z) f(gamma z / d)^d with f(z) = sum_m z^m
     exp(theta m (m-1)) / m!, theta = c^2/(2 sigma^2).  gamma = 1 is the k=1
     family; d = 1 is the Poisson-subsampled Gaussian (Mironov, Talwar & Zhang
-    2019, "Renyi differential privacy of the sampled Gaussian mechanism").
+    2019, "Renyi differential privacy of the sampled Gaussian mechanism"),
+    and d = 1, gamma = 1 the Gaussian itself, whose closed form
+    alpha c^2 / (2 sigma^2) it returns (``accountant.Gaussian``'s curve).
     f^d comes from log-domain truncated convolutions (exact: higher terms of
     f cannot reach degree alpha) with binary exponentiation in d, so the
     cost is O(alpha^2 log d).  For gamma < 1 the moment sums alpha!/(alpha-j)!
@@ -966,15 +992,10 @@ def forward_exact_k1_curve(d: int, c: float, sigma: float, gamma: float, orders)
     into one log1p-form lead, (1-gamma)^(alpha-1) (1 + (alpha-1) gamma), which
     keeps epsilons near 1e-6 to full relative precision.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if c < 0:
-        raise ValueError(f"c must be nonnegative, got {c}")
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    check_fields(d=d, c=c, sigma=sigma, gamma=gamma)
     a_int = np.array([validate_order(a) for a in orders])
+    if d == 1 and gamma == 1.0:  # one Gaussian: its closed form alpha c^2 / (2 sigma^2)
+        return a_int.astype(float) * c**2 / (2.0 * sigma**2)
     theta = c * c / (2.0 * sigma * sigma)
     if theta == 0.0:  # every tuple has weight 1: the divergence is exactly 0
         return np.zeros(len(a_int))

@@ -43,6 +43,7 @@ from .accountant import (
     scale_curve,
     to_dp,
 )
+from .rdp_math import check_fields
 
 __all__ = [
     "HiddenLayerTask",
@@ -96,13 +97,6 @@ class SyntheticTask:
         return float(0.5 * np.mean(residual**2))
 
 
-def _check_sizes(**sizes) -> None:
-    """Raise ValueError naming the first size below 1: such a task is empty."""
-    for name, size in sizes.items():
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
-
-
 def _regression_data(n_samples: int, in_dim: int, seed: int, noise: float) -> tuple:
     """Seeded (features, targets) of a noisy linear model."""
     rng = stream(seed, "task")
@@ -112,7 +106,7 @@ def _regression_data(n_samples: int, in_dim: int, seed: int, noise: float) -> tu
 
 
 def make_linear_task(n_samples: int, param_dim: int, seed: int, noise: float = 0.1) -> SyntheticTask:
-    _check_sizes(n_samples=n_samples, param_dim=param_dim)
+    check_fields(n_samples=n_samples, param_dim=param_dim)
     return SyntheticTask(*_regression_data(n_samples, param_dim, seed, noise))
 
 
@@ -169,7 +163,7 @@ class HiddenLayerTask:
 
 
 def make_hidden_task(n_samples: int, in_dim: int, hidden_dim: int, seed: int, noise: float = 0.1) -> HiddenLayerTask:
-    _check_sizes(n_samples=n_samples, in_dim=in_dim, hidden_dim=hidden_dim)
+    check_fields(n_samples=n_samples, in_dim=in_dim, hidden_dim=hidden_dim)
     return HiddenLayerTask(*_regression_data(n_samples, in_dim, seed, noise), hidden_dim)
 
 
@@ -226,10 +220,7 @@ class SimConfig:
     delta: float = 1e-5
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.c < 0:
-            raise ValueError(f"clipping norm must be nonnegative, got {self.c}")
+        check_fields(T=self.T, c=self.c, delta=self.delta)  # sigma, k and gamma have their own rules here
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.mode not in ("plain", "model_split", "dropout"):
@@ -246,8 +237,6 @@ class SimConfig:
                 raise ValueError(f"poisson schedule needs gamma in (0, 1], got {self.gamma}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -326,8 +315,7 @@ def assign_bis_schedule(n: int, T: int, k: int, seed: int) -> np.ndarray:
     keys.  Rows are iid, so every row sums to exactly k, column sums are
     Binomial(n, k/T), and the first rows do not depend on n.
     """
-    if not 1 <= k <= T:
-        raise ValueError(f"need 1 <= k <= T, got k={k}, T={T}")
+    check_fields(T=T, k=k)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     keys = stream(seed, "bis").random((n, T))

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from amplify_acct.accountant import (
     to_delta,
     to_dp,
 )
+from amplify_acct.rdp_math import MixtureFamily, check_fields, forward_exact_k1_curve, gaussian_rdp
 
 E = math.e
 
@@ -59,6 +61,13 @@ class TestRdpCurve:
         split = rdp_curve(ModelSplit(d=1, c=1, sigma=1))
         gaussian = rdp_curve(Gaussian(c=1, sigma=1))
         assert np.max(np.abs(split.epsilons - gaussian.epsilons)) <= 1e-9
+
+    def test_full_rate_and_single_block_are_the_gaussian_bit_for_bit(self):
+        orders = tuple(range(2, 1001))
+        for ratio in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 4.0):
+            gaussian = rdp_curve(Gaussian(c=ratio, sigma=1), orders).epsilons
+            assert np.array_equal(rdp_curve(PoissonGaussian(c=ratio, sigma=1, gamma=1.0), orders).epsilons, gaussian)
+            assert np.array_equal(rdp_curve(ModelSplit(d=1, c=ratio, sigma=1), orders).epsilons, gaussian)
 
     def test_mixture_and_dropout_reuse_model_split(self):
         base = rdp_curve(ModelSplit(d=2, c=1, sigma=2), orders=(2, 5, 9))
@@ -108,6 +117,64 @@ class TestRdpCurve:
     def test_spec_validation(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+
+# A valid value, and values out of range, for every field name with a rule.
+VALID = {"c": 1.0, "c_split": 1.0, "c_nonsplit": 0.5, "sigma": 2.0, "d": 3, "T": 4, "k": 2, "gamma": 0.5}
+INVALID = {
+    "c": [-1.0],
+    "c_split": [-1.0],
+    "c_nonsplit": [-0.5],
+    "sigma": [0.0, -1.0],
+    "d": [0],
+    "T": [0],
+    "k": [0, 5],
+    "gamma": [0.0, 1.5],
+}
+# Every spec and family, and the kernels that take these fields as arguments
+# (with the arguments that are not fields).
+FIELD_TARGETS = {cls.__name__: (cls, {}) for cls in (*MECHANISMS, MixtureFamily)}
+FIELD_TARGETS["forward_exact_k1_curve"] = (forward_exact_k1_curve, {"orders": [2, 3]})
+FIELD_TARGETS["gaussian_rdp"] = (gaussian_rdp, {"alpha": 2})
+
+
+def _fields_of(name):
+    target, extra = FIELD_TARGETS[name]
+    return [param for param in inspect.signature(target).parameters if param not in extra]
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize(
+        "name, field, bad",
+        [
+            pytest.param(name, field, bad, id=f"{name}-{field}={bad}")
+            for name in FIELD_TARGETS
+            for field in _fields_of(name)
+            for bad in INVALID[field]
+        ],
+    )
+    def test_out_of_range_value_names_its_field(self, name, field, bad):
+        target, extra = FIELD_TARGETS[name]
+        args = {**{param: VALID[param] for param in _fields_of(name)}, **extra}
+        target(**args)
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            target(**{**args, field: bad})
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("count", 0), ("n_epochs", 0), ("n_samples", 0), ("hidden_dim", -1), ("delta", 0.0), ("delta", 1.0)],
+    )
+    def test_keyword_values_name_their_field(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must .*, got {bad}$"):
+            check_fields(**{field: bad})
+
+    def test_k_is_bounded_by_T_before_d(self):
+        check_fields(T=5, d=2, k=4)
+        with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k <= d, got k=4, d=3$"):
+            check_fields(d=3, k=4)
+
+    def test_names_without_a_rule_pass(self):
+        check_fields(epsilon=-1.0, mode="any", seed=-3)
 
 
 class TestCompose:

@@ -107,6 +107,12 @@ class TestForwardBound:
             expected = math.log((math.exp(alpha / 2) + d - 1) / d)
             assert forward_bound(MixtureFamily(d, 1, 1, 1), alpha) == pytest.approx(expected, rel=1e-12)
 
+    def test_k_near_d_takes_exact_binomials(self):
+        # Order 2 is exact; min(k, d - k) = 1 keeps the weights on integer binomials.
+        family = MixtureFamily(2000, 1999, 1, 30)
+        exact = _forward_exact_overlap(family, [2])[0]
+        assert abs(forward_bound(family, 2) - exact) <= math.ulp(exact)
+
     def test_no_overflow_huge_parameters(self):
         value = forward_bound(MixtureFamily(10**6, 10, 10, 1), 1000)
         assert math.isfinite(value) and value > 0
