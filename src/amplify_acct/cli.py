@@ -97,7 +97,7 @@ from .training_sim import (
     even_split_plan,
     make_hidden_task,
     make_linear_task,
-    report_privacy,
+    privacy_refusal,
     run_dropout_training,
     run_model_split_training,
 )
@@ -394,10 +394,9 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    if config.sigma > 0:
-        privacy = report_privacy(config)
-        if privacy.refused:
-            raise CliError(f"refusing to simulate an unaccountable configuration: {privacy.refusal}")
+    refusal = privacy_refusal(config) if config.sigma > 0 else None
+    if refusal is not None:
+        raise CliError(f"refusing to simulate an unaccountable configuration: {refusal}")
 
     if mode == "dropout":
         trace = run_dropout_training(make_hidden_task(args.n, args.m, args.hidden, args.task_seed), config)

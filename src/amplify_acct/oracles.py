@@ -20,9 +20,15 @@ coordinate leaves the divergence unchanged.
 Both evaluate mixture log-densities without a (points, centers, dim)
 tensor, with the centers on the leading axis.  The quadrature never forms
 grid points: on the tensor grid each component's log density is a sum of
-per-axis terms, so a chunk of the grid is built by broadcasting per-axis
-(centers, len(axis)) arrays into (centers, grid...).  Monte Carlo points go
-through ``mixture_logpdf``, one (centers, rows) matmul.  Both sum over the
+per-axis terms.  A side with one center (the origin, the center average,
+the padded point) is therefore separable, and its scaled log density folds
+into the per-axis trapezoid log-weights plus one scalar.  Only a side with
+two or more centers is evaluated on the grid, a chunk at a time, by
+broadcasting per-axis (centers, len(axis)) arrays into (centers, grid...).
+When neither side has two centers, the trapezoid sum of the separable
+integrand is a product of per-axis sums (Trefethen & Weideman 2014, SIAM
+Review 56(3)), and no grid is built at all.  Monte Carlo points go through
+``mixture_logpdf``, one (centers, rows) matmul.  Both sum over the
 few centers the same way (``_logsumexp_centers``): the max over the
 leading axis, then sum(exp(comp - max)) accumulated in place, then log +
 max, each a contiguous vector pass.  Its error is a few ulps of
@@ -217,8 +223,17 @@ def mixture_logpdf(mixture: GenericMixture, x: np.ndarray) -> np.ndarray:
 
 
 def sample_mixture(mixture: GenericMixture, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws from the mixture: centers[idx] + sigma z, assembled in place.
+
+    The component indices are drawn even for one center, whose rows then
+    add centers[0] by broadcasting, so the random stream is the same for
+    every mixture.
+    """
     idx = rng.choice(len(mixture.weights), size=n, p=mixture.weights)
-    return mixture.centers[idx] + mixture.sigma * rng.standard_normal((n, mixture.dim))
+    x = rng.standard_normal((n, mixture.dim))
+    x *= mixture.sigma
+    x += mixture.centers[0] if len(mixture.weights) == 1 else mixture.centers[idx]
+    return x
 
 
 def _grid_axes(m_num: GenericMixture, m_den: GenericMixture, alpha: int, spec: QuadratureSpec):
@@ -290,15 +305,21 @@ def _grid_logpdf(mixture: GenericMixture, axes) -> np.ndarray:
 def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: QuadratureSpec | None = None) -> float:
     """Trapezoid-rule estimate of the order-alpha divergence num-vs-den.
 
-    Deterministic for a fixed spec; the integrand is accumulated in log
-    space, one chunk of leading-axis rows at a time.  A chunk holds the
-    integrand on its slab of the tensor grid, built by broadcasting per-axis
-    arrays (``_grid_logpdf``); no grid point array is formed.  The two log
-    densities are scaled and added, with the per-axis trapezoid log-weights,
-    into one buffer, which is reduced in place as top + log(sum(exp(vals -
-    top))) (``_chunk_log_sum``); the chunk values are then summed by
-    ``rdp_math._logsumexp``.  Dimensions above spec.max_dim_grid are
-    refused with a pointer to ``mc_renyi``.
+    Deterministic for a fixed spec; the integrand num^a den^(1-a) is
+    accumulated in log space.  A side with one center is separable: its
+    scaled log density e (log w - log-norm - sum_j (x_j - mu_j)^2 /
+    (2 sigma^2)), with e = a for the numerator and 1 - a for the
+    denominator, folds into the per-axis trapezoid log-weights and one
+    scalar (log w is kept, since a lone weight is 1 only to within 1e-12).
+    When neither side has more than one center the trapezoid sum is a
+    product of per-axis sums (Trefethen & Weideman 2014, SIAM Review
+    56(3)), so log sum = scalar + sum_j logsumexp(axis j's log-weights) and
+    no grid is built.  Otherwise the mixture sides are evaluated on the
+    tensor grid one chunk of leading-axis rows at a time (``_chunk_log_sum``)
+    by broadcasting per-axis arrays (``_grid_logpdf``); no grid point array
+    is formed, and the chunk values are summed by ``rdp_math._logsumexp``.
+    Dimensions above spec.max_dim_grid are refused with a pointer to
+    ``mc_renyi``.
     """
     a = validate_order(alpha)
     spec = spec or QuadratureSpec()
@@ -310,29 +331,45 @@ def quad_renyi(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: Quadra
 
     axes = _grid_axes(m_num, m_den, a, spec)
     logws = [_axis_log_weights(ax) for ax in axes]
+    const = 0.0
+    mixtures = []
+    for mixture, e in ((m_num, a), (m_den, 1 - a)):
+        if len(mixture.weights) > 1:
+            mixtures.append((mixture, e))
+            continue
+        inv = 1.0 / (2.0 * mixture.sigma**2)
+        for j, axis in enumerate(axes):
+            logws[j] += e * (-((axis - mixture.centers[0, j]) ** 2) * inv)
+        const += e * (float(_log_weights(mixture)[0]) - _log_norm(mixture))
+    if not mixtures:
+        return (const + sum(float(_logsumexp(logw)) for logw in logws)) / (a - 1)
+
     tail_size = int(np.prod([len(ax) for ax in axes[1:]])) if dim > 1 else 1
     chunk_rows = max(1, _GRID_CHUNK_CELLS // max(tail_size, 1))
-
     chunk_logs = []
     for start in range(0, len(axes[0]), chunk_rows):
         rows = slice(start, start + chunk_rows)
-        chunk_logs.append(_chunk_log_sum(m_num, m_den, a, [axes[0][rows], *axes[1:]], [logws[0][rows], *logws[1:]]))
-    return float(_logsumexp(chunk_logs)) / (a - 1)
+        chunk_logs.append(_chunk_log_sum(mixtures, [axes[0][rows], *axes[1:]], [logws[0][rows], *logws[1:]]))
+    return (float(_logsumexp(chunk_logs)) + const) / (a - 1)
 
 
-def _chunk_log_sum(m_num: GenericMixture, m_den: GenericMixture, a: int, axes, logws) -> float:
-    """log of the trapezoid sum of num^a den^(1-a) over the grid of ``axes``.
+def _chunk_log_sum(mixtures, axes, logws) -> float:
+    """log of the trapezoid sum of prod m^e over the grid of ``axes``.
 
-    One buffer holds a log num + (1-a) log den + the per-axis log-weights
-    and is reduced in place as top + log(sum(exp(vals - top))).  Every
-    chunk-size array dies on return, before the next chunk is built.
+    ``mixtures`` holds the (mixture m, exponent e) sides with two or more
+    centers; the one-center sides are already folded into ``logws``.  One
+    buffer holds the scaled mixture log densities plus the per-axis
+    log-weights and is reduced in place as top + log(sum(exp(vals - top))).
+    Every chunk-size array dies on return, before the next chunk is built.
     """
-    vals = _grid_logpdf(m_num, axes)
-    vals *= a
-    den = _grid_logpdf(m_den, axes)
-    den *= 1 - a
-    vals += den
-    del den
+    (first, e_first), *rest = mixtures
+    vals = _grid_logpdf(first, axes)
+    vals *= e_first
+    for mixture, e in rest:
+        other = _grid_logpdf(mixture, axes)
+        other *= e
+        vals += other
+        del other
     for j, logw in enumerate(logws):
         vals += _on_axis(logw, j, len(axes))
     top = float(vals.max())

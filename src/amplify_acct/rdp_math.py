@@ -233,11 +233,10 @@ def gaussian_rdp(c: float, sigma: float, alpha) -> float:
     """Order-alpha divergence between N(c*e, sigma^2 I) and N(0, sigma^2 I).
 
     Equals alpha * c^2 / (2 sigma^2) exactly, for any shift direction e of
-    unit norm.
+    unit norm: the d = 1, gamma = 1 case of ``forward_exact_k1_curve``, so
+    it is bit for bit ``accountant.Gaussian``'s curve.
     """
-    a = validate_order(alpha)
-    check_fields(c=c, sigma=sigma)
-    return a * c * c / (2.0 * sigma * sigma)
+    return float(forward_exact_k1_curve(1, c, sigma, 1.0, [alpha])[0])
 
 
 def _orders_array(orders) -> np.ndarray:

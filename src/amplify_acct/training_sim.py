@@ -56,6 +56,7 @@ __all__ = [
     "even_split_plan",
     "make_hidden_task",
     "make_linear_task",
+    "privacy_refusal",
     "report_privacy",
     "run_dropout_training",
     "run_model_split_training",
@@ -453,26 +454,30 @@ def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=N
     return _train(task, config, partial(_dropout_step, incidence=incidence, forced_mask=forced_mask), start)
 
 
-def report_privacy(config: SimConfig) -> PrivacyReport:
-    """Map a run configuration to its accountant guarantee, or refuse.
+def privacy_refusal(config: SimConfig) -> Optional[str]:
+    """Why the accountant has no guarantee for ``config``, or None; builds no curve.
 
     Combinations whose accounting rule the toolkit does not provide (any
-    split/dropout mode together with data subsampling) come back as an
-    explicit refusal that states the reason, never as a silently wrong
-    number.
+    split/dropout mode together with data subsampling) are refused with a
+    reason, never given a silently wrong number.
     """
+    if config.mode in ("model_split", "dropout") and config.schedule != "all":
+        return (
+            f"no accounting rule for {config.mode} combined with {config.schedule} data "
+            f"subsampling: each update is a mixture over both the {config.schedule} participation "
+            f"draw and the {config.mode} block choice, and no divergence bound for that nested "
+            "mixture is implemented"
+        )
+    return None
+
+
+def report_privacy(config: SimConfig) -> PrivacyReport:
+    """Map a run configuration to its accountant guarantee, or to the refusal of ``privacy_refusal``."""
     if config.sigma <= 0:
         raise ValueError("privacy accounting needs sigma > 0")
-    if config.mode in ("model_split", "dropout") and config.schedule != "all":
-        return PrivacyReport(
-            guarantee=None,
-            refusal=(
-                f"no accounting rule for {config.mode} combined with {config.schedule} data "
-                f"subsampling: each update is a mixture over both the {config.schedule} participation "
-                f"draw and the {config.mode} block choice, and no divergence bound for that nested "
-                "mixture is implemented"
-            ),
-        )
+    refusal = privacy_refusal(config)
+    if refusal is not None:
+        return PrivacyReport(guarantee=None, refusal=refusal)
     if config.mode == "model_split":
         spec, count = ModelSplit(d=config.plan.d, c=config.c, sigma=config.sigma), config.T
     elif config.mode == "dropout":

@@ -14,8 +14,10 @@
                                 instead and is checked against it.
 * ``quad_renyi_points``      -- trapezoid-rule divergence from an explicit
                                 (cells, dim) grid point array per chunk;
-                                ``oracles.quad_renyi`` broadcasts per-axis
-                                terms instead and is checked against it.
+                                ``oracles.quad_renyi`` folds one-center sides
+                                into per-axis sums and broadcasts per-axis
+                                terms for the rest instead, and is checked
+                                against it.
 * ``logsumexp_centers_logaddexp`` -- log(sum(exp)) over the leading
                                 (centers) axis by a ``np.logaddexp`` chain,
                                 one pass per extra center;
@@ -125,9 +127,11 @@ def logsumexp_centers_logaddexp(comp: np.ndarray) -> np.ndarray:
 def quad_renyi_points(m_num: GenericMixture, m_den: GenericMixture, alpha, spec: QuadratureSpec | None = None) -> float:
     """Trapezoid-rule divergence num-vs-den, evaluated point by point.
 
-    The same grid, chunks and accumulation order as ``oracles.quad_renyi``,
-    but each chunk's meshgrid is stacked into a (cells, dim) point array and
-    both log densities come from ``mixture_logpdf`` at those points.
+    The same grid and chunks as ``oracles.quad_renyi``, but every side is
+    evaluated at every cell: each chunk's meshgrid is stacked into a
+    (cells, dim) point array and both log densities come from
+    ``mixture_logpdf`` at those points.  ``quad_renyi`` folds a one-center
+    side into per-axis sums instead, so the two differ by rounding only.
     """
     a = validate_order(alpha)
     spec = spec or QuadratureSpec()

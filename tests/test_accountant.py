@@ -69,6 +69,12 @@ class TestRdpCurve:
             assert np.array_equal(rdp_curve(PoissonGaussian(c=ratio, sigma=1, gamma=1.0), orders).epsilons, gaussian)
             assert np.array_equal(rdp_curve(ModelSplit(d=1, c=ratio, sigma=1), orders).epsilons, gaussian)
 
+    def test_gaussian_rdp_is_the_gaussian_curve_bit_for_bit(self):
+        orders = tuple(range(2, 1001))
+        for ratio in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 4.0):
+            gaussian = rdp_curve(Gaussian(c=ratio, sigma=1), orders).epsilons
+            assert np.array_equal([gaussian_rdp(ratio, 1, a) for a in orders], gaussian)
+
     def test_mixture_and_dropout_reuse_model_split(self):
         base = rdp_curve(ModelSplit(d=2, c=1, sigma=2), orders=(2, 5, 9))
         assert np.allclose(rdp_curve(MixtureSplit(d=2, c=1, sigma=2), orders=(2, 5, 9)).epsilons, base.epsilons)

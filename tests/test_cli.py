@@ -372,6 +372,26 @@ class TestSimulate:
         assert "no divergence bound for that nested mixture" in err
         assert not out_dir.exists()
 
+    def test_accountable_run_builds_one_curve(self, capsys, monkeypatch):
+        # The early refusal check builds no curve; only the run's report does.
+        import amplify_acct
+        from amplify_acct import accountant
+
+        original, calls = accountant.rdp_curve, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in vars(amplify_acct).values():
+            if getattr(module, "rdp_curve", None) is original:
+                monkeypatch.setattr(module, "rdp_curve", counted)
+        code, out, _ = run(capsys, "simulate", "--mode", "model-split", "--d", "3", "--T", "4",
+                           "--c", "1", "--sigma", "1", "--n", "6", "--m", "9")
+        assert code == EXIT_OK
+        assert "privacy = (" in out
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "argv, size",
         [

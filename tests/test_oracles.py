@@ -15,6 +15,7 @@ from amplify_acct.oracles import (
     mixture_logpdf,
     point_mixture,
     quad_renyi,
+    sample_mixture,
     verify_dim_reduction,
     verify_offset_identity,
     verify_sandwich,
@@ -211,10 +212,12 @@ class TestQuadRenyi:
         with pytest.raises(ValueError, match="mc_renyi"):
             QuadratureSpec(max_dim_grid=4)
 
-    @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
     def test_broadcast_grid_matches_point_quadrature(self, d, k):
-        # Same grid, chunks and accumulation order as the point-array
-        # reference; only the rounding of the log densities differs.
+        # Same grid and chunks as the point-array reference.  A one-center
+        # side is folded into the per-axis weights (and a pair of them, as
+        # at d = k, into per-axis sums) instead of evaluated per cell, so
+        # the two differ only by the rounding of the log densities and sums.
         spec = grid_spec(d)
         cells = [(2, 0.5), (3, 1.0)] if d == 3 else [(a, r) for a in (2, 3, 5) for r in (0.5, 1.0, 2.0)]
         origin = point_mixture(np.zeros(d), 1.0)
@@ -238,7 +241,8 @@ class TestQuadRenyi:
     def test_peak_memory_of_a_three_dim_chunk(self):
         # Unit: chunk cells x (centers + 1) x 8 B.  The point-array
         # reference, with its (cells, dim) points and (cells, centers)
-        # matmuls, peaks at 6.3 units here; the broadcast grid at 1.75.
+        # matmuls, peaks at 6.3 units here; the broadcast grid, with the
+        # one-center side folded into the per-axis weights, at 1.03.
         origin = point_mixture(np.zeros(3), 1.0)
         mixture = family_mixture(MixtureFamily(3, 1, 1.0, 1.0))
         spec = grid_spec(3)
@@ -253,8 +257,33 @@ class TestQuadRenyi:
             tracemalloc.stop()
         assert peak <= 3 * chunk_cells * (len(mixture.weights) + 1) * 8
 
+    def test_one_center_pair_builds_no_grid(self):
+        # Per-axis sums only: about 15 kB here, where one chunk of this
+        # 3-D grid would take 33 MB.
+        spec = grid_spec(3)
+        point = point_mixture([1.0, 0.5, -0.3], 1.0)
+        origin = point_mixture(np.zeros(3), 1.0)
+        tracemalloc.start()
+        try:
+            quad_renyi(point, origin, 3, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestMcRenyi:
+    @pytest.mark.parametrize("d,k", [(3, 3), (4, 2)])
+    def test_draw_is_centers_plus_scaled_normal_bit_for_bit(self, d, k):
+        # One center (MixtureFamily(3, 3)) and six; the in-place draw is the
+        # formula centers[idx] + sigma z on the same stream.
+        mixture = family_mixture(MixtureFamily(d, k, 0.7, 1.3))
+        draw = sample_mixture(mixture, 5000, np.random.Generator(np.random.Philox(4)))
+        rng = np.random.Generator(np.random.Philox(4))
+        idx = rng.choice(len(mixture.weights), size=5000, p=mixture.weights)
+        expected = mixture.centers[idx] + mixture.sigma * rng.standard_normal((5000, d))
+        assert np.array_equal(bits(draw), bits(expected))
+
     def test_identical_families_near_zero(self):
         g = point_mixture([0.0, 0.0], 1.0)
         est = mc_renyi(g, g, 4, SMALL_MC)
