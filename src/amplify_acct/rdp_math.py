@@ -129,6 +129,10 @@ def check_fields(spec=None, /, **values) -> None:
             raise ValueError(f"{name} must {_FIELD_RULES[name][0]}, got {value}")
 
 
+# exp(x) for x <= _EXP_ZERO is below 0.21 of the smallest subnormal (4.9e-324): it rounds to 0.
+_EXP_ZERO = -746.0
+
+
 def _logsumexp(a, axis=None):
     """log(sum(exp(a))) over ``axis`` (all entries when None), in numpy.
 
@@ -137,13 +141,23 @@ def _logsumexp(a, axis=None):
     is how many entries equal top.  Summing the rest through log1p keeps
     full relative precision when they are tiny next to the top, which a
     plain top + log(sum) loses.  Rows whose entries are all -inf give -inf.
+
+    One buffer takes a - top, then exp in place except where the entry is a
+    top or its exp rounds to 0 (a - top <= ``_EXP_ZERO``, -inf included);
+    those are set to 0.  The sum sees the same values, in the same layout,
+    as exp over a copy with the tops masked to -inf, without the slow
+    underflowing exp calls.
     """
     a = np.asarray(a, dtype=float)
     top = np.max(a, axis=axis, keepdims=True)
     is_top = a == top
-    count = np.sum(is_top, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    rest = np.sum(np.exp(np.where(is_top, -np.inf, a - shift)), axis=axis, keepdims=True)
+    count = np.count_nonzero(is_top, axis=axis, keepdims=True)
+    buf = np.subtract(a, np.where(np.isfinite(top), top, 0.0), out=np.empty_like(a))
+    zero = buf <= _EXP_ZERO
+    zero |= is_top
+    np.exp(buf, out=buf, where=~zero)
+    buf[zero] = 0.0
+    rest = np.sum(buf, axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):  # count is 0 on an all-NaN row, whose result is NaN either way
         log_count = np.log(count)
     out = np.log1p(rest / count) + log_count + top
@@ -944,16 +958,32 @@ def _forward_exact_overlap(family: MixtureFamily, orders) -> np.ndarray:
     return np.array(out)
 
 
+@lru_cache(maxsize=32)
+def _poly_mul_table(trunc: int, n_a: int, n_b: int) -> tuple:
+    """(index, outside) of a truncated product, built once per shape.
+
+    Over (degree t = 0..trunc) x (index i < n_a): index is t - i clipped
+    into [0, n_b), outside marks t - i < 0 or >= n_b.  Both read-only.
+    """
+    j = np.arange(trunc + 1)[:, None] - np.arange(n_a)[None, :]
+    index, outside = np.clip(j, 0, n_b - 1), (j < 0) | (j >= n_b)
+    index.flags.writeable = outside.flags.writeable = False
+    return index, outside
+
+
 def _log_poly_mul(la: np.ndarray, lb: np.ndarray, trunc: int) -> np.ndarray:
     """Multiply two polynomials given by log-coefficients, truncated.
 
     One (degree t x index i) array of la[i] + lb[t - i], -inf where t - i
-    is not an index of lb, and one row-wise log-sum-exp.
+    is not an index of lb, and one row-wise log-sum-exp.  The gather index
+    and the outside mask come from ``_poly_mul_table``, built once per
+    shape; the gather, the sum and the mask share one buffer.
     """
     la = la[: trunc + 1]
-    j = np.arange(trunc + 1)[:, None] - np.arange(len(la))[None, :]
-    inside = (j >= 0) & (j < len(lb))
-    terms = np.where(inside, la[None, :] + lb[np.clip(j, 0, len(lb) - 1)], -np.inf)
+    index, outside = _poly_mul_table(trunc, len(la), len(lb))
+    terms = lb[index]
+    np.add(la, terms, out=terms)
+    terms[outside] = -np.inf
     return _logsumexp(terms, axis=1)
 
 
@@ -973,6 +1003,42 @@ def _log_poly_pow(la: np.ndarray, power: int, trunc: int) -> np.ndarray:
         base = _log_poly_mul(base, base, trunc)
 
 
+@lru_cache(maxsize=64)
+def _order_ints(orders: tuple) -> np.ndarray:
+    """The orders as a read-only int array, each checked by ``validate_order``; built once per order tuple."""
+    a_int = np.array([validate_order(a) for a in orders], dtype=int)
+    a_int.flags.writeable = False
+    return a_int
+
+
+@lru_cache(maxsize=64)
+def _log_factorials(n: int) -> np.ndarray:
+    """log m! for m = 0..n, read-only; built once per n."""
+    log_fact = _lgamma(np.arange(n + 1, dtype=float) + 1.0)
+    log_fact.flags.writeable = False
+    return log_fact
+
+
+@lru_cache(maxsize=16)
+def _k1_sum_tables(orders: tuple) -> tuple:
+    """The gamma < 1 sum's arrays in ``forward_exact_k1_curve``, which depend on the orders alone.
+
+    (ways, rest, beyond) over (order alpha) x (j = 2..max order): log
+    alpha!/(alpha-j)!, alpha - j (0 where j > alpha) and the mask j > alpha.
+    Built once per order tuple, all read-only.
+    """
+    a_int = _order_ints(orders)
+    log_fact = _log_factorials(int(a_int.max()))
+    j = np.arange(2.0, len(log_fact))
+    rest = np.maximum(a_int[:, None] - j, 0.0)  # alpha - j wherever j <= alpha; the rest is masked
+    ways = log_fact[a_int][:, None] - log_fact[rest.astype(int)]
+    beyond = j > a_int[:, None]
+    tables = (ways, rest, beyond)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
 def forward_exact_k1_curve(d: int, c: float, sigma: float, gamma: float, orders) -> np.ndarray:
     """Exact forward divergence of the one-hot family at rate gamma, per order.
 
@@ -989,29 +1055,34 @@ def forward_exact_k1_curve(d: int, c: float, sigma: float, gamma: float, orders)
     cost is O(alpha^2 log d).  For gamma < 1 the moment sums alpha!/(alpha-j)!
     [z^j] f^d (gamma/d)^j (1-gamma)^(alpha-j) over j; its j = 0, 1 terms fold
     into one log1p-form lead, (1-gamma)^(alpha-1) (1 + (alpha-1) gamma), which
-    keeps epsilons near 1e-6 to full relative precision.
+    keeps epsilons near 1e-6 to full relative precision.  What depends on
+    the orders alone is built once per order tuple and kept: the checked
+    orders (``_order_ints``), log m! (``_log_factorials``) and the gamma < 1
+    sum's arrays (``_k1_sum_tables``).
     """
     check_fields(d=d, c=c, sigma=sigma, gamma=gamma)
-    a_int = np.array([validate_order(a) for a in orders])
+    key = tuple(orders)
+    a_int = _order_ints(key)
+    a = a_int.astype(float)
     if d == 1 and gamma == 1.0:  # one Gaussian: its closed form alpha c^2 / (2 sigma^2)
-        return a_int.astype(float) * c**2 / (2.0 * sigma**2)
+        return a * c**2 / (2.0 * sigma**2)
     theta = c * c / (2.0 * sigma * sigma)
     if theta == 0.0:  # every tuple has weight 1: the divergence is exactly 0
         return np.zeros(len(a_int))
     amax = int(a_int.max())
+    log_fact = _log_factorials(amax)
     m = np.arange(amax + 1, dtype=float)
-    log_fact = _lgamma(m + 1.0)  # log m! for m = 0..amax
     powered = _log_poly_pow(theta * m * (m - 1.0) - log_fact, d, amax)
-    a = a_int.astype(float)
     if gamma == 1.0:
         log_moment = log_fact[a_int] + powered[a_int] - a * math.log(d)
     else:
         j = m[2:]
-        rest = np.maximum(a[:, None] - j, 0.0)  # alpha - j wherever j <= alpha; the rest is masked
-        terms = log_fact[a_int][:, None] - log_fact[rest.astype(int)] + powered[2:]
+        ways, rest, beyond = _k1_sum_tables(key)
+        terms = ways + powered[2:]
         terms += j * (math.log(gamma) - math.log(d)) + rest * math.log1p(-gamma)
+        terms[beyond] = -np.inf
         lead = (a - 1.0) * math.log1p(-gamma) + np.log1p(gamma * (a - 1.0))
-        log_moment = _logsumexp(np.column_stack([np.where(j <= a[:, None], terms, -np.inf), lead]), axis=1)
+        log_moment = _logsumexp(np.column_stack([terms, lead]), axis=1)
     return np.maximum(log_moment / (a - 1.0), 0.0)
 
 

@@ -298,9 +298,10 @@ class SimTrace:
         }
 
     def write_jsonl(self, path) -> None:
+        """One line per record, keys sorted, by one encoder for the whole file."""
+        encoder = json.JSONEncoder(sort_keys=True)
         with open(path, "w") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.writelines(encoder.encode(record) + "\n" for record in self.records)
 
     def write_summary(self, path, **extra) -> None:
         """``summary_dict()`` plus the ``extra`` keys, as indented JSON with sorted keys."""
@@ -316,9 +317,7 @@ def assign_bis_schedule(n: int, T: int, k: int, seed: int) -> np.ndarray:
     keys.  Rows are iid, so every row sums to exactly k, column sums are
     Binomial(n, k/T), and the first rows do not depend on n.
     """
-    check_fields(T=T, k=k)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_fields(T=T, k=k, n_samples=n)
     keys = stream(seed, "bis").random((n, T))
     return (keys.argsort(axis=1).argsort(axis=1) < k).astype(np.uint8)
 
@@ -336,12 +335,12 @@ def _plain_step(task, config, w, t, participants):
     return task.per_sample_gradients(w)[participants], {}
 
 
-def _split_step(task, config, w, t, participants):
-    """Per-sample gradients masked to one uniformly drawn block."""
+def _split_step(task, config, w, t, participants, allowed):
+    """Per-sample gradients masked to one uniformly drawn block.
+
+    ``allowed[b]`` marks the parameters of block ``b``, built once per run.
+    """
     plan = config.plan
-    allowed = np.zeros((plan.d, task.param_dim), dtype=bool)
-    for b, block in enumerate(plan.blocks):
-        allowed[b, list(block)] = True
     blocks = stream(config.seed, "assign", t).integers(plan.d, size=task.n_samples)[participants]
     outside = ~allowed[blocks]
     grads = task.per_sample_gradients(w)[participants]
@@ -355,8 +354,12 @@ def _split_step(task, config, w, t, participants):
 def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None):
     """Per-sample gradients under a rate-0.5 mask on the hidden units.
 
-    ``incidence[u]`` marks the parameters unit ``u`` feeds or reads; a
-    nonzero gradient there while ``u`` is dropped is a zeroing violation.
+    ``incidence[u]`` is 1.0 on the parameters unit ``u`` feeds or reads and
+    0.0 elsewhere, built once per run; a nonzero gradient there while ``u``
+    is dropped is a zeroing violation.  The (sample, parameter) entries that
+    some dropped unit must zero are where the float product of the dropped
+    indicators with ``incidence`` is positive: the same mask as a bool
+    matmul, which numpy cannot hand to BLAS.
     """
     if forced_mask is None:
         masks = stream(config.seed, "mask", t).integers(0, 2, size=(task.n_samples, task.hidden_dim))[participants]
@@ -364,7 +367,7 @@ def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None)
         masks = np.broadcast_to(forced_mask, (len(participants), task.hidden_dim))
     grads = task.per_sample_gradients(w, participants, masks)
     return grads, {
-        "zeroing_violations": int(np.count_nonzero(grads[(masks == 0.0) @ incidence])),
+        "zeroing_violations": int(np.count_nonzero(grads[(masks == 0.0) @ incidence > 0.0])),
         "mask_ones": int(masks.sum()),
         "mask_draws": masks.size,
     }
@@ -433,7 +436,12 @@ def run_model_split_training(task: SyntheticTask, config: SimConfig) -> SimTrace
         plan_indices = {i for b in config.plan.blocks for i in b}
         if not plan_indices.issubset(range(task.param_dim)):
             raise ValueError("split plan indexes parameters outside the task")
-    step = _split_step if config.mode == "model_split" else _plain_step
+        allowed = np.zeros((config.plan.d, task.param_dim), dtype=bool)
+        for b, block in enumerate(config.plan.blocks):
+            allowed[b, list(block)] = True
+        step = partial(_split_step, allowed=allowed)
+    else:
+        step = _plain_step
     return _train(task, config, step, np.zeros(task.param_dim))
 
 
@@ -449,7 +457,9 @@ def run_dropout_training(task: HiddenLayerTask, config: SimConfig, forced_mask=N
     """
     if config.mode != "dropout":
         raise ValueError("config.mode must be 'dropout'")
-    incidence = np.array([np.isin(np.arange(task.param_dim), task.incident_indices(u)) for u in range(task.hidden_dim)])
+    incidence = np.array(
+        [np.isin(np.arange(task.param_dim), task.incident_indices(u)) for u in range(task.hidden_dim)], dtype=float
+    )
     start = stream(config.seed, "init").standard_normal(task.param_dim) / np.sqrt(task.in_dim)
     return _train(task, config, partial(_dropout_step, incidence=incidence, forced_mask=forced_mask), start)
 

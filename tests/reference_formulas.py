@@ -24,6 +24,21 @@
                                 ``oracles._logsumexp_centers`` shifts by the
                                 max and sums in place instead, and is
                                 checked against it.
+* ``logsumexp_masked_copy``  -- log(sum(exp)) from fresh arrays at every
+                                step: a - top with the tops masked to -inf
+                                by ``np.where``, then exp over all of it.
+                                ``rdp_math._logsumexp`` works in one buffer
+                                and skips the exps that round to 0; the
+                                tests pin the two bit for bit.
+* ``log_poly_mul_per_product`` -- truncated log-coefficient product with
+                                its gather index and mask rebuilt per call;
+                                ``rdp_math._log_poly_mul`` reads them from a
+                                per-shape table.  Pinned bit for bit.
+* ``forward_exact_k1_curve_per_call`` -- the k=1 series with every
+                                order-only array rebuilt per call, over the
+                                two functions above;
+                                ``rdp_math.forward_exact_k1_curve`` keeps
+                                them per order tuple.  Pinned bit for bit.
 
 The exact forward enumeration has no copy here: ``rdp_math.forward_exact_enum``
 is itself the independent check of the overlap-count path, and
@@ -36,7 +51,7 @@ import math
 import numpy as np
 
 from amplify_acct.oracles import _GRID_CHUNK_CELLS, QuadratureSpec, _axis_log_weights, _grid_axes, mixture_logpdf
-from amplify_acct.rdp_math import GenericMixture, MixtureFamily, _logsumexp, validate_order
+from amplify_acct.rdp_math import GenericMixture, MixtureFamily, _lgamma, _logsumexp, check_fields, validate_order
 
 
 class DivergenceUndefinedError(ValueError):
@@ -151,3 +166,64 @@ def quad_renyi_points(m_num: GenericMixture, m_den: GenericMixture, alpha, spec:
         vals = a * mixture_logpdf(m_num, pts) + (1 - a) * mixture_logpdf(m_den, pts) + logw
         chunk_logs.append(_logsumexp(vals))
     return float(_logsumexp(chunk_logs)) / (a - 1)
+
+
+def logsumexp_masked_copy(a, axis=None):
+    """log(sum(exp(a))) over ``axis``: top + log(count) + log1p(rest / count).
+
+    The form of ``rdp_math._logsumexp``, with a fresh array at each step:
+    the tops are masked to -inf by ``np.where`` on a - top, and exp runs
+    over every entry.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    is_top = a == top
+    count = np.sum(is_top, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    rest = np.sum(np.exp(np.where(is_top, -np.inf, a - shift)), axis=axis, keepdims=True)
+    with np.errstate(divide="ignore"):  # count is 0 on an all-NaN row, whose result is NaN either way
+        log_count = np.log(count)
+    out = np.log1p(rest / count) + log_count + top
+    return out.reshape(())[()] if axis is None else np.squeeze(out, axis=axis)
+
+
+def log_poly_mul_per_product(la, lb, trunc: int) -> np.ndarray:
+    """Truncated product of log-coefficient polynomials, its index and mask built per call."""
+    la = la[: trunc + 1]
+    j = np.arange(trunc + 1)[:, None] - np.arange(len(la))[None, :]
+    inside = (j >= 0) & (j < len(lb))
+    terms = np.where(inside, la[None, :] + lb[np.clip(j, 0, len(lb) - 1)], -np.inf)
+    return logsumexp_masked_copy(terms, axis=1)
+
+
+def forward_exact_k1_curve_per_call(d: int, c: float, sigma: float, gamma: float, orders) -> np.ndarray:
+    """The k=1 series of ``rdp_math.forward_exact_k1_curve``, every order-only array built per call."""
+    check_fields(d=d, c=c, sigma=sigma, gamma=gamma)
+    a_int = np.array([validate_order(a) for a in orders])
+    if d == 1 and gamma == 1.0:
+        return a_int.astype(float) * c**2 / (2.0 * sigma**2)
+    theta = c * c / (2.0 * sigma * sigma)
+    if theta == 0.0:
+        return np.zeros(len(a_int))
+    amax = int(a_int.max())
+    m = np.arange(amax + 1, dtype=float)
+    log_fact = _lgamma(m + 1.0)
+    powered, base, power = None, theta * m * (m - 1.0) - log_fact, d
+    while True:  # binary exponentiation from the base, as ``rdp_math._log_poly_pow``
+        if power & 1:
+            powered = base if powered is None else log_poly_mul_per_product(powered, base, amax)
+        power >>= 1
+        if not power:
+            break
+        base = log_poly_mul_per_product(base, base, amax)
+    a = a_int.astype(float)
+    if gamma == 1.0:
+        log_moment = log_fact[a_int] + powered[a_int] - a * math.log(d)
+    else:
+        j = m[2:]
+        rest = np.maximum(a[:, None] - j, 0.0)
+        terms = log_fact[a_int][:, None] - log_fact[rest.astype(int)] + powered[2:]
+        terms += j * (math.log(gamma) - math.log(d)) + rest * math.log1p(-gamma)
+        lead = (a - 1.0) * math.log1p(-gamma) + np.log1p(gamma * (a - 1.0))
+        log_moment = logsumexp_masked_copy(np.column_stack([np.where(j <= a[:, None], terms, -np.inf), lead]), axis=1)
+    return np.maximum(log_moment / (a - 1.0), 0.0)

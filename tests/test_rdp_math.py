@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -28,9 +29,13 @@ from amplify_acct.rdp_math import (
 )
 from amplify_acct.rdp_math import (
     _ENUM_CHUNK,
+    _EXP_ZERO,
     _forward_exact_overlap,
     _forward_fallback_curve,
+    _k1_sum_tables,
+    _log_poly_mul,
     _logsumexp,
+    _order_ints,
     _overlap_counts,
     _TwoHotReverse,
     forward_exact_k1_curve,
@@ -40,7 +45,10 @@ from amplify_acct.rdp_math import (
 from amplify_acct import rdp_math
 from reference_formulas import (
     DivergenceUndefinedError,
+    forward_exact_k1_curve_per_call,
     gaussian_rdp_same_mean,
+    log_poly_mul_per_product,
+    logsumexp_masked_copy,
     reverse_bound_paper,
 )
 
@@ -644,6 +652,93 @@ class TestLogKernels:
             # A difference of log-gammas: its error scales with lgamma(n + 1).
             assert log_comb(n, k) == pytest.approx(expected, rel=0, abs=1e-14 * math.lgamma(n + 1) + 1e-15)
         assert log_comb(3, 5) == -np.inf  # k > n: Gamma has a pole at n - k + 1
+
+
+def run_recording_warnings(fn, *args, **kwargs):
+    """(fn's result, sorted messages of the warnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, sorted(str(w.message) for w in caught)
+
+
+def float_hexes(x):
+    """(type, shape, float.hex of every entry): equal only for the same values bit for bit, NaN aside."""
+    return type(x), np.shape(x), [float(v).hex() for v in np.ravel(x)]
+
+
+class TestBitForBitAgainstReference:
+    """The one-buffer kernels against the per-call reference bodies in ``reference_formulas``."""
+
+    @staticmethod
+    def logsumexp_inputs():
+        rng = np.random.default_rng(25)
+        a = 30.0 * rng.normal(size=(9, 11))
+        a[0, [2, 5, 7]] = a[0].max()  # three tied tops
+        a[1, :4] = a[1, 4] = 1.25  # ties below the top
+        a[2] = -np.inf  # an all -inf row
+        a[3, 3] = np.inf
+        a[4, [1, 6]] = np.inf  # two +inf tops
+        a[5, 8] = np.nan
+        a[6, ::2] = -np.inf
+        a[7] = [0.0, -700.0, -708.5, -730.0, -745.0, -745.2, -745.9, -746.0, -746.1, -800.0, -np.inf]
+        a[8] = np.nan  # an all-NaN row
+        wide = np.concatenate([np.zeros((400, 1)), rng.uniform(-760.0, -700.0, size=(400, 60))], axis=1)
+        yield a, (None, 0, 1, -1)
+        yield a[[0, 1, 3, 6, 7]], (None, 0, 1)  # no NaN
+        yield wide, (None, 0, 1)
+        yield 40.0 * rng.normal(size=(3, 4, 5)), (None, 0, 1, 2)
+        for zero_d in (np.float64(3.0), np.array(-np.inf), np.array(np.inf), np.array(np.nan), 2.5):
+            yield zero_d, (None,)
+        yield [1.0, 2.0, 2.0, -5.0], (None, 0)
+        yield [[0.5, -np.inf], [3.0, 3.0]], (None, 0, 1)
+
+    def test_logsumexp_matches_the_masked_copy_form(self):
+        for a, axes in self.logsumexp_inputs():
+            for axis in axes:
+                got, got_warnings = run_recording_warnings(_logsumexp, a, axis=axis)
+                want, want_warnings = run_recording_warnings(logsumexp_masked_copy, a, axis=axis)
+                assert float_hexes(got) == float_hexes(want), (a, axis)
+                assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+                assert got_warnings == want_warnings
+
+    def test_exp_rounds_to_zero_at_and_below_the_skip_threshold(self):
+        x = np.linspace(_EXP_ZERO - 50.0, _EXP_ZERO, 200001)
+        assert not np.exp(x).any()
+        assert np.exp(np.nextafter(-745.0, 0.0)) > 0.0  # the threshold leaves the subnormal range alone
+
+    def test_log_poly_mul_matches_the_per_product_form(self):
+        rng = np.random.default_rng(7)
+        for n_a, n_b, trunc in ((12, 7, 5), (101, 101, 100), (30, 50, 60), (8, 3, 20), (1, 1, 0)):
+            la = 50.0 * rng.normal(size=n_a)
+            lb = 50.0 * rng.normal(size=n_b)
+            la[::4] = -np.inf
+            lb[1::3] = lb[0]
+            for x, y in ((la, lb), (la, la), (lb, la)):
+                got = _log_poly_mul(x, y, trunc)
+                assert float_hexes(got) == float_hexes(log_poly_mul_per_product(x, y, trunc))
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 10**3, 10**6])
+    def test_k1_curve_matches_the_per_call_form(self, d):
+        for gamma in (1.0, 0.3275, 1e-3):
+            for c, sigma in ((1.0, 1.0), (1.0, 0.3), (0.5, 4.0), (3.0, 1.0)):
+                for orders in (range(2, 101), (2, 3, 7, 32, 64, 100), [17]):
+                    got = forward_exact_k1_curve(d, c, sigma, gamma, orders)
+                    want = forward_exact_k1_curve_per_call(d, c, sigma, gamma, orders)
+                    assert float_hexes(got) == float_hexes(want), (d, gamma, c, sigma, orders)
+
+    def test_tables_are_keyed_on_the_orders_alone_and_read_only(self):
+        orders = tuple(range(2, 41))
+        _order_ints.cache_clear()
+        _k1_sum_tables.cache_clear()
+        for d, c, sigma, gamma in ((1, 1.0, 2.0, 0.1), (5, 0.7, 1.0, 0.5), (10**4, 2.0, 3.0, 0.01)):
+            forward_exact_k1_curve(d, c, sigma, gamma, orders)
+            forward_exact_k1_curve(d, c, sigma, gamma, list(orders))
+        assert _order_ints.cache_info().currsize == 1
+        assert _k1_sum_tables.cache_info().currsize == 1
+        for table in (_order_ints(orders), *_k1_sum_tables(orders)):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestForwardExactSelector:

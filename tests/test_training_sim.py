@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ class TestModelSplitRun:
             )
 
 
+@dataclass(frozen=True)
+class LeakyHiddenTask(HiddenLayerTask):
+    """A broken gradient: unit 0's incoming weights get their gradient as if unit 0 were kept.
+
+    Every call's (masks, gradients) is kept in ``calls``.
+    """
+
+    calls: list = field(default_factory=list)
+
+    def per_sample_gradients(self, w, idx, masks):
+        grads = super().per_sample_gradients(w, idx, masks)
+        kept = np.array(masks, dtype=float)
+        kept[:, 0] = 1.0
+        grads[:, : self.in_dim] = super().per_sample_gradients(w, idx, kept)[:, : self.in_dim]
+        self.calls.append((np.array(masks), grads.copy()))
+        return grads
+
+
 class TestDropoutRun:
     def test_all_units_dropped_gives_zero_gradients(self):
         # The run starts away from w = 0, where every gradient vanishes anyway,
@@ -201,6 +220,22 @@ class TestDropoutRun:
             fd = [(loss(w + h * e, i, mask) - loss(w - h * e, i, mask)) / (2 * h) for e in np.eye(task.param_dim)]
             np.testing.assert_allclose(row, fd, rtol=1e-6, atol=1e-9)
 
+    def test_zeroing_count_catches_a_leak(self):
+        base = make_hidden_task(20, 4, 3, seed=4)
+        task = LeakyHiddenTask(base.features, base.targets, base.hidden_dim)
+        trace = run_dropout_training(task, SimConfig(T=5, c=1.0, sigma=1.0, mode="dropout", seed=2))
+        assert len(task.calls) == len(trace.records)
+        for record, (masks, grads) in zip(trace.records, task.calls):
+            brute = sum(
+                grads[j, i] != 0.0
+                for j in range(len(masks))
+                for u in range(task.hidden_dim)
+                if masks[j, u] == 0
+                for i in task.incident_indices(u)
+            )
+            assert record["zeroing_violations"] == brute
+        assert trace.zeroing_violations > 0
+
     def test_incident_indices_cover_rows_and_readout(self):
         task = HiddenLayerTask(np.zeros((1, 3)), np.zeros(1), hidden_dim=2)
         idx = task.incident_indices(1)
@@ -238,6 +273,10 @@ class TestBisSchedule:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             assign_bis_schedule(5, 3, 4, seed=0)
+
+    def test_sample_count_goes_through_the_field_rule(self):
+        with pytest.raises(ValueError, match=r"^n_samples must be >= 1, got 0$"):
+            assign_bis_schedule(0, 3, 1, seed=0)
 
 
 class TestSchedulesInRuns:
@@ -346,3 +385,11 @@ class TestTraceSerialization:
         assert summary["config"]["mode"] == "model_split"
         assert summary["diagnostics"]["support_violations"] == 0
         assert summary["privacy"]["epsilon"] > 0
+
+    def test_jsonl_is_one_json_dumps_line_per_record(self, tmp_path):
+        task = make_hidden_task(16, 3, 4, seed=6)
+        trace = run_dropout_training(task, SimConfig(T=4, c=1.0, sigma=1.0, mode="dropout", seed=3))
+        trace.records.append({"iteration": 4, "loss": float("nan"), "noise_norm": float("inf"), "label": "\u00e9\n"})
+        trace.write_jsonl(tmp_path / "trace.jsonl")
+        expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in trace.records)
+        assert (tmp_path / "trace.jsonl").read_bytes() == expected.encode()
