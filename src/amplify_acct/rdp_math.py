@@ -253,8 +253,17 @@ def gaussian_rdp(c: float, sigma: float, alpha) -> float:
     return float(forward_exact_k1_curve(1, c, sigma, 1.0, [alpha])[0])
 
 
+@lru_cache(maxsize=64)
+def _order_ints(orders: tuple) -> np.ndarray:
+    """The orders as a read-only int array, each checked by ``validate_order``; built once per order tuple."""
+    a_int = np.array([validate_order(a) for a in orders])
+    a_int.flags.writeable = False
+    return a_int
+
+
 def _orders_array(orders) -> np.ndarray:
-    return np.array([validate_order(a) for a in orders], dtype=float)
+    """The orders as a fresh float array, checked through ``_order_ints``."""
+    return _order_ints(tuple(orders)).astype(float)
 
 
 @lru_cache(maxsize=256)
@@ -1001,14 +1010,6 @@ def _log_poly_pow(la: np.ndarray, power: int, trunc: int) -> np.ndarray:
         if not power:
             return result
         base = _log_poly_mul(base, base, trunc)
-
-
-@lru_cache(maxsize=64)
-def _order_ints(orders: tuple) -> np.ndarray:
-    """The orders as a read-only int array, each checked by ``validate_order``; built once per order tuple."""
-    a_int = np.array([validate_order(a) for a in orders], dtype=int)
-    a_int.flags.writeable = False
-    return a_int
 
 
 @lru_cache(maxsize=64)

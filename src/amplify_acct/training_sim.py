@@ -367,7 +367,7 @@ def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None)
         masks = np.broadcast_to(forced_mask, (len(participants), task.hidden_dim))
     grads = task.per_sample_gradients(w, participants, masks)
     return grads, {
-        "zeroing_violations": int(np.count_nonzero(grads[(masks == 0.0) @ incidence > 0.0])),
+        "zeroing_violations": int(np.count_nonzero(grads[((masks == 0.0) @ incidence) > 0.0])),
         "mask_ones": int(masks.sum()),
         "mask_draws": masks.size,
     }
