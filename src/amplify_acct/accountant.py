@@ -37,11 +37,11 @@ import numpy as np
 
 from .rdp_math import (
     MixtureFamily,
+    _order_ints,
     check_fields,
     epsilon_loose_curve,
     epsilon_tight_curve,
     forward_exact_k1_curve,
-    validate_order,
 )
 
 __all__ = [
@@ -215,6 +215,11 @@ def _split_family_curve(family: MixtureFamily, orders, mode: str):
     return eps, ["loose" if rule == "bound" else "tight" for rule in rules]
 
 
+def _checked_orders(orders) -> tuple:
+    """The orders as a tuple of ints, each checked by ``validate_order`` once per order tuple."""
+    return tuple(_order_ints(tuple(orders)).tolist())
+
+
 @dataclass(frozen=True)
 class RdpCurve:
     """Per-order epsilon values; the unit of composition."""
@@ -224,7 +229,7 @@ class RdpCurve:
     provenance: tuple
 
     def __post_init__(self):
-        orders = tuple(validate_order(a) for a in self.orders)
+        orders = _checked_orders(self.orders)
         eps = np.asarray(self.epsilons, dtype=float)
         prov = tuple(self.provenance)
         object.__setattr__(self, "orders", orders)
@@ -255,7 +260,7 @@ def rdp_curve(spec: MechanismSpec, orders=DEFAULT_ORDERS, mode: str = "tight") -
     closed-form mechanisms ignore it.  Cost-guard degradations appear in the
     per-order provenance rather than as failures.
     """
-    orders = tuple(validate_order(a) for a in orders)
+    orders = _checked_orders(orders)
     if not orders:
         raise ValueError("curve must contain at least one order")
     if mode not in ("tight", "loose"):
@@ -428,7 +433,7 @@ class BisPoissonComparison:
 
 def compare_bis_poisson(T: int, k: int, c: float, sigma: float, orders=DEFAULT_ORDERS) -> BisPoissonComparison:
     """Side-by-side curves for the two subsampling schemes at matched rates."""
-    orders = tuple(validate_order(a) for a in orders)
+    orders = _checked_orders(orders)
     bis_spec = Bis(T=T, k=k, c=c, sigma=sigma)
     tight = rdp_curve(bis_spec, orders, mode="tight")
     loose = rdp_curve(bis_spec, orders, mode="loose")

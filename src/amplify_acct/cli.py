@@ -82,25 +82,10 @@ from .accountant import (
     spec_params,
     to_dp,
 )
-from .oracles import (
-    CHECK_MAX_D,
-    McSpec,
-    forward_exact_value,
-    verify_dim_reduction,
-    verify_offset_identity,
-    verify_sandwich,
-)
+# oracles and training_sim load inside cmd_verify and cmd_simulate, so the
+# cold processes of the other commands never import them.
 # forward_exact_enum: bound here for perfbench/tests/test_perfbench.py's binding test (ROADMAP item 1)
 from .rdp_math import MixtureFamily, check_fields, family_mixture, forward_bound, forward_exact_enum, validate_order
-from .training_sim import (
-    SimConfig,
-    even_split_plan,
-    make_hidden_task,
-    make_linear_task,
-    privacy_refusal,
-    run_dropout_training,
-    run_model_split_training,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -311,6 +296,15 @@ def _record(check: str, family: MixtureFamily, rep) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .oracles import (
+        CHECK_MAX_D,
+        McSpec,
+        forward_exact_value,
+        verify_dim_reduction,
+        verify_offset_identity,
+        verify_sandwich,
+    )
+
     checks = args.checks.split(",") if args.checks is not None else list(_CHECKS)
     for name in checks:
         if name not in _CHECKS:
@@ -360,6 +354,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .training_sim import (
+        SimConfig,
+        even_split_plan,
+        make_hidden_task,
+        make_linear_task,
+        privacy_refusal,
+        run_dropout_training,
+        run_model_split_training,
+    )
+
     mode = args.mode.replace("-", "_")
     unused = {
         "gamma": args.schedule != "poisson",

@@ -225,14 +225,19 @@ def mixture_logpdf(mixture: GenericMixture, x: np.ndarray) -> np.ndarray:
 def sample_mixture(mixture: GenericMixture, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from the mixture: centers[idx] + sigma z, assembled in place.
 
-    The component indices are drawn even for one center, whose rows then
-    add centers[0] by broadcasting, so the random stream is the same for
-    every mixture.
+    ``rng.choice`` with weights takes one raw draw per index.  One center
+    needs no indices: the stream skips the n raw draws they would take and
+    the rows add centers[0] by broadcasting, so stream and draws are those
+    of the indexed form.
     """
-    idx = rng.choice(len(mixture.weights), size=n, p=mixture.weights)
+    if len(mixture.weights) == 1:
+        rng.bit_generator.random_raw(n, output=False)
+        shift = mixture.centers[0]
+    else:
+        shift = mixture.centers[rng.choice(len(mixture.weights), size=n, p=mixture.weights)]
     x = rng.standard_normal((n, mixture.dim))
     x *= mixture.sigma
-    x += mixture.centers[0] if len(mixture.weights) == 1 else mixture.centers[idx]
+    x += shift
     return x
 
 

@@ -39,6 +39,16 @@
                                 two functions above;
                                 ``rdp_math.forward_exact_k1_curve`` keeps
                                 them per order tuple.  Pinned bit for bit.
+* ``overlap_log_weights_comb`` -- the overlap log-weights from fresh
+                                ``math.comb`` calls per term;
+                                ``rdp_math._overlap_log_weights`` builds the
+                                same integers by recurrence.  Pinned bit for
+                                bit.
+* ``sample_mixture_choice``  -- mixture draws that take the component
+                                indices by ``rng.choice`` even for one
+                                center; ``oracles.sample_mixture`` skips the
+                                same raw draws there instead.  Pinned bit for
+                                bit, stream state included.
 
 The exact forward enumeration has no copy here: ``rdp_math.forward_exact_enum``
 is itself the independent check of the overlap-count path, and
@@ -51,7 +61,15 @@ import math
 import numpy as np
 
 from amplify_acct.oracles import _GRID_CHUNK_CELLS, QuadratureSpec, _axis_log_weights, _grid_axes, mixture_logpdf
-from amplify_acct.rdp_math import GenericMixture, MixtureFamily, _lgamma, _logsumexp, check_fields, validate_order
+from amplify_acct.rdp_math import (
+    GenericMixture,
+    MixtureFamily,
+    _lgamma,
+    _logsumexp,
+    check_fields,
+    log_comb,
+    validate_order,
+)
 
 
 class DivergenceUndefinedError(ValueError):
@@ -227,3 +245,24 @@ def forward_exact_k1_curve_per_call(d: int, c: float, sigma: float, gamma: float
         lead = (a - 1.0) * math.log1p(-gamma) + np.log1p(gamma * (a - 1.0))
         log_moment = logsumexp_masked_copy(np.column_stack([np.where(j <= a[:, None], terms, -np.inf), lead]), axis=1)
     return np.maximum(log_moment / (a - 1.0), 0.0)
+
+
+def overlap_log_weights_comb(d: int, k: int) -> np.ndarray:
+    """log of C(k,l) C(d-k,k-l) / C(d,k) for l = 0..k, each binomial a fresh ``math.comb``."""
+    if min(k, d - k) <= 700:
+        log_cdk = math.log(math.comb(d, k))
+        weights = np.full(k + 1, -math.inf)
+        for l in range(max(0, 2 * k - d), k + 1):
+            weights[l] = math.log(math.comb(k, l) * math.comb(d - k, k - l)) - log_cdk
+        return weights
+    l = np.arange(k + 1)
+    return log_comb(k, l) + log_comb(d - k, k - l) - log_comb(d, k)
+
+
+def sample_mixture_choice(mixture: GenericMixture, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws centers[idx] + sigma z, the indices drawn by ``rng.choice`` for any number of centers."""
+    idx = rng.choice(len(mixture.weights), size=n, p=mixture.weights)
+    x = rng.standard_normal((n, mixture.dim))
+    x *= mixture.sigma
+    x += mixture.centers[0] if len(mixture.weights) == 1 else mixture.centers[idx]
+    return x

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,35 @@ E = math.e
 
 
 class TestRdpCurve:
+    @pytest.mark.parametrize(
+        "orders, message",
+        [
+            ((2, 2.5), "Renyi order must be an integer >= 2, got 2.5"),
+            ([3, 1.99], "Renyi order must be an integer >= 2, got 1.99"),
+            ((1,), "Renyi order must be an integer >= 2, got 1"),
+            ((5, 0, 2), "Renyi order must be an integer >= 2, got 0"),
+            ((), "curve must contain at least one order"),
+            ([], "curve must contain at least one order"),
+        ],
+    )
+    def test_bad_order_lists_raise_their_messages(self, orders, message):
+        builds = (
+            lambda: RdpCurve(orders, np.zeros(len(orders)), ("exact",) * len(orders)),
+            lambda: rdp_curve(Gaussian(c=1, sigma=1), orders),
+            lambda: rdp_curve(Bis(T=10, k=4, c=1, sigma=2), orders),
+            lambda: compare_bis_poisson(10, 4, 1.0, 2.0, orders),
+        )
+        for build in builds:
+            for _ in range(2):  # the second time the order tuple is known
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build()
+
+    def test_orders_read_as_python_ints(self):
+        curve = RdpCurve([2, 3.0, np.int64(4)], np.zeros(3), ("exact",) * 3)
+        assert curve.orders == (2, 3, 4)
+        assert all(type(a) is int for a in curve.orders)
+        assert rdp_curve(Gaussian(c=1, sigma=1), np.array([2.0, 7.0])).orders == (2, 7)
+
     def test_gaussian_curve_values(self):
         curve = rdp_curve(Gaussian(c=1, sigma=1), orders=(2, 3, 4))
         assert np.allclose(curve.epsilons, [1.0, 1.5, 2.0])

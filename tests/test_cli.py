@@ -11,19 +11,62 @@ from amplify_acct.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, build_par
 from reference_formulas import reverse_bound_paper
 
 
-def test_import_loads_no_scipy():
-    # A fresh interpreter: this process may already hold scipy from other tests.
+def _package_env():
     import amplify_acct
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(amplify_acct.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter: this process may already hold scipy from other tests.
     forbidden = ("scipy", "concurrent.futures")
     code = (
         "import sys, amplify_acct.cli; "
         f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {forbidden!r})))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True, timeout=120
+    )
     assert out.stdout.strip() == "[]"
+
+
+def test_accounting_commands_load_no_oracles_simulator_or_masked_arrays(tmp_path):
+    # A fresh interpreter runs perfbench's two representative commands and a
+    # one-million-block split; only verify and simulate need the oracles and
+    # the simulator, and nothing needs numpy.ma.
+    commands = [
+        ["calibrate", "--mech", "bis", "--T", "2000", "--k", "655", "--epsilon", "8", "--delta", "1e-5"],
+        ["curve", "--bis", "T=10,k=4", "--poisson", "gamma=0.4,count=10", "--sigma", "2",
+         "--out", str(tmp_path / "curve.csv")],
+        ["epsilon", "--mech", "model-split", "--d", "1000000", "--delta", "1e-5"],
+    ]
+    forbidden = ("numpy.ma", "amplify_acct.oracles", "amplify_acct.training_sim")
+    code = (
+        "import contextlib, io, sys, amplify_acct.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert amplify_acct.cli.main(argv) == 0, argv\n"
+        f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {forbidden!r})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["verify-k1", "simulate-model-split"])
+def test_verify_and_simulate_run_as_a_module(tmp_path, name):
+    # ``python -m amplify_acct`` in a fresh process: the commands that import
+    # the oracles or the simulator on use print their golden stdout.
+    recorder = _load_golden_recorder()
+    (command,) = [c for c in recorder.load_commands() if c["name"] == name]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in command["argv"]]
+    out = subprocess.run(
+        [sys.executable, "-m", "amplify_acct", *argv], env=_package_env(), capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    assert recorder.golden_mismatch(out.stdout, recorder.load_golden(name)["stdout"]) is None
 
 
 def run(capsys, *argv):

@@ -34,6 +34,7 @@ from reference_formulas import (
     mixture_logpdf_direct,
     quad_renyi_points,
     reverse_bound_paper,
+    sample_mixture_choice,
 )
 
 E = math.e
@@ -283,6 +284,18 @@ class TestMcRenyi:
         idx = rng.choice(len(mixture.weights), size=5000, p=mixture.weights)
         expected = mixture.centers[idx] + mixture.sigma * rng.standard_normal((5000, d))
         assert np.array_equal(bits(draw), bits(expected))
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 1000, 200_000])
+    def test_one_center_draw_and_stream_match_the_choice_form(self, n):
+        # One center skips the n raw draws of its indices: two chunks in a
+        # row give the same rows and leave the stream in the same state.
+        for mixture in (point_mixture([0.5, -1.0], 1.3), family_mixture(MixtureFamily(3, 3, 0.7, 1.3))):
+            for seed in range(5):
+                rng, ref = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+                for _ in range(2):
+                    draw = sample_mixture(mixture, n, rng)
+                    assert np.array_equal(bits(draw), bits(sample_mixture_choice(mixture, n, ref)))
+                assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
     def test_identical_families_near_zero(self):
         g = point_mixture([0.0, 0.0], 1.0)

@@ -37,6 +37,7 @@ from amplify_acct.rdp_math import (
     _logsumexp,
     _order_ints,
     _overlap_counts,
+    _overlap_log_weights,
     _TwoHotReverse,
     forward_exact_k1_curve,
     forward_poisson_cap_curve,
@@ -49,6 +50,7 @@ from reference_formulas import (
     gaussian_rdp_same_mean,
     log_poly_mul_per_product,
     logsumexp_masked_copy,
+    overlap_log_weights_comb,
     reverse_bound_paper,
 )
 
@@ -726,6 +728,16 @@ class TestBitForBitAgainstReference:
                     got = forward_exact_k1_curve(d, c, sigma, gamma, orders)
                     want = forward_exact_k1_curve_per_call(d, c, sigma, gamma, orders)
                     assert float_hexes(got) == float_hexes(want), (d, gamma, c, sigma, orders)
+
+    def test_overlap_log_weights_match_the_comb_form(self):
+        rng = np.random.default_rng(26)
+        cells = [(d, k) for d in range(1, 61) for k in range(d + 1)]
+        cells += [(1400, 700), (1401, 700), (2000, 655), (10**6, 700)]
+        for d in rng.integers(61, 2001, size=300).tolist():
+            cells.append((d, int(rng.integers(0, d + 1))))
+        for d, k in cells:
+            got = _overlap_log_weights.__wrapped__(d, k)
+            assert float_hexes(got) == float_hexes(overlap_log_weights_comb(d, k)), (d, k)
 
     def test_tables_are_keyed_on_the_orders_alone_and_read_only(self):
         orders = tuple(range(2, 41))
