@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -87,6 +88,10 @@ _ENUM_CHUNK = 1 << 17
 
 class CostLimitError(ValueError):
     """Exact enumeration would exceed the tuple budget."""
+
+
+class CostGuardWarning(UserWarning):
+    """A cost guard replaced a computation by a looser bound; the message names the guard."""
 
 
 def validate_order(alpha) -> int:
@@ -377,6 +382,8 @@ _REV_Y_RADIUS = 10.5  # |y| beyond which the standard normal density is below e^
 _REV_MAX_POINTS = 8192  # an outer window for several orders beyond this splits the group
 _REV_ROUNDS = 60  # widening / refining rounds before the outer quadrature gives up
 _REV_S_MAX = 16.0  # beyond this c/sigma the quadrature gives way to the AM-GM bound
+_REV_S_MIN = 1e-150  # below this c/sigma too (theta = s^2/2 nears the subnormals), rounded up
+_REV_GUARD_POINTS = 1 << 16  # a window for one order beyond this gives way to the cap: a cost guard
 _REV_SLACK = 1e-10  # relative round-up of the quadrature value, past its measured error
 _REV_INNER = 0.35  # inner steps are at most this over c/sigma (the scale of e^(s z))
 _REV_CHUNK = 1 << 16  # inner-grid cells evaluated per batch (bounds temporary memory)
@@ -407,8 +414,9 @@ class _ReverseQuadrature:
     """The outer integral shared by the exact reverse paths.
 
     A subclass supplies ``_log_integrand(x)``, the log of e^-t expm1(psi(t))
-    at t = e^x for its psi >= 0, and the attributes s, b and log_b that
-    ``_peaks`` reads.  Then
+    at t = e^x for its psi >= 0, ``_cap(m)``, an upper bound on D_(m+1)
+    from AM-GM, and the attributes s, b and log_b that ``_peaks`` reads.
+    Then
     D_{m+1} = log1p(J_m) / m with J_m = Gamma(m)^-1 int e^(m x) e^-t
     expm1(psi(t)) dx, a trapezoid rule on dyadic lattices in x.
     """
@@ -462,7 +470,11 @@ class _ReverseQuadrature:
         The window widens until every order's integrand is _REV_DROP below
         its peak at both ends, and the step halves until the peaks are
         resolved.  A window that would exceed _REV_MAX_POINTS splits the
-        group in halves; a single order keeps growing.
+        group in halves; a single order keeps growing up to
+        _REV_GUARD_POINTS, the refinement guard, past which it returns
+        ``_cap`` with a CostGuardWarning.  The widest window the accounting
+        tests settle on has 12,599 points (b = 1e6, s = 15, alpha = 1000);
+        one whose integrand underflows never settles.
         """
         lgam = np.array([math.lgamma(mi) for mi in m])
         x0, width = self._peaks(m)
@@ -474,6 +486,14 @@ class _ReverseQuadrature:
             if i_hi - i_lo > _REV_MAX_POINTS and len(m) > 1:
                 half = len(m) // 2
                 return np.concatenate([self._window(m[:half]), self._window(m[half:])])
+            if i_hi - i_lo > _REV_GUARD_POINTS:
+                warnings.warn(
+                    f"reverse quadrature refinement guard: {self!r} at alpha={m[0] + 1:g} asks for "
+                    f"{i_hi - i_lo} outer points (> {_REV_GUARD_POINTS}); the AM-GM cap stands in",
+                    CostGuardWarning,
+                    stacklevel=2,
+                )
+                return self._cap(m)
             x = np.arange(i_lo, i_hi + 1) * step
             ell = m[:, None] * x - lgam[:, None] + self._integrand(x)
             rows = np.arange(len(m))
@@ -533,6 +553,9 @@ class _OneHotReverse(_ReverseQuadrature):
 
     def __repr__(self):
         return f"one-hot reverse (b={self.b}, s={self.s!r})"
+
+    def _cap(self, m):
+        return _am_gm(self.b, 0.5 * self.s * self.s, m + 1.0)
 
     def _saddle_window(self, w):
         """Per-w extent [-lo, hi] of the saddle-centred y-integral, and the step it needs."""
@@ -674,6 +697,12 @@ class _TwoHotReverse(_ReverseQuadrature):
     def __repr__(self):
         return f"two-hot reverse (d={self.d}, s={self.s!r})"
 
+    def _cap(self, m):
+        # The block sum of ``reverse_bound_curve`` over blocks of d // 2 and
+        # d - d // 2, each at its AM-GM cap.
+        theta, q = 0.5 * self.s * self.s, self.d // 2
+        return _am_gm(q, theta, m + 1.0) + _am_gm(self.d - q, theta, m + 1.0)
+
     def _log_integrand(self, x: np.ndarray) -> np.ndarray:
         # Batches of neighbouring t share their grids (x arrives sorted).
         rows = max(1, _REV_TWO_HOT_CELLS // self._cells(math.exp(float(x[-1]))))
@@ -767,18 +796,32 @@ def _two_hot_reverse_exact(d: int, s: float, orders: tuple) -> tuple:
     return tuple(_TwoHotReverse(d, s).divergences(np.array(orders, dtype=float) - 1.0).tolist())
 
 
+def _am_gm(b, theta: float, a):
+    """AM-GM bound (alpha + b - 1) theta / b on the one-hot reverse divergence of a block of size b.
+
+    AM-GM on S gives E[S^-m] <= prod_v E[Y_v^(-m/b)].  The bound is above
+    the exact value, and equal to it to leading order once alpha s^2 / b is
+    large; for small s the exact value is alpha theta / b to leading order.
+    """
+    return (a + b - 1.0) * theta / b
+
+
 def _one_hot_reverse(b: int, s: float, theta: float, a: np.ndarray) -> np.ndarray:
     """Reverse divergence of a one-hot block of size b >= 2, per order in a.
 
     The quadrature value (cached on (b, s, orders)) rounded up by
     _REV_SLACK, capped by the AM-GM bound; the AM-GM bound alone above
-    c/sigma = _REV_S_MAX.
+    c/sigma = _REV_S_MAX, and rounded up by an ulp below c/sigma =
+    _REV_S_MIN.  There every divergence is below about alpha 1e-300, the
+    quadrature's log-space sums reach the subnormals, and they stop
+    settling (at s = 2.8e-162 the window grew past 5e7 points).  The cap is
+    above the truth there by a factor of 1 + (b - 1)/alpha to leading order.
     """
-    # AM-GM on S: E[S^-m] <= prod_v E[Y_v^(-m/b)].  Above the exact value,
-    # and equal to it to leading order once alpha s^2 / b is large.
-    am_gm = (a + b - 1.0) * theta / b
+    am_gm = _am_gm(b, theta, a)
     if s > _REV_S_MAX:
         return am_gm
+    if s < _REV_S_MIN:
+        return np.nextafter(am_gm, np.inf)
     exact = np.array(_one_hot_reverse_exact(b, s, tuple(int(x) for x in a)))
     return np.minimum(exact * (1.0 + _REV_SLACK), am_gm)
 

@@ -49,6 +49,13 @@
                                 center; ``oracles.sample_mixture`` skips the
                                 same raw draws there instead.  Pinned bit for
                                 bit, stream state included.
+* ``mc_estimates_per_chunk`` -- ``oracles._mc_estimates`` with each
+                                2^20-draw chunk drawn, evaluated and summed
+                                as one block; ``_mc_estimates`` works
+                                through each chunk one cache-sized block of
+                                rows at a time instead.  Same draws; the
+                                tests hold the estimates within 2e-15
+                                (1 + |value|).
 
 The exact forward enumeration has no copy here: ``rdp_math.forward_exact_enum``
 is itself the independent check of the overlap-count path, and
@@ -60,7 +67,16 @@ import math
 
 import numpy as np
 
-from amplify_acct.oracles import _GRID_CHUNK_CELLS, QuadratureSpec, _axis_log_weights, _grid_axes, mixture_logpdf
+from amplify_acct.oracles import (
+    _MC_CHUNK,
+    QuadratureSpec,
+    _axis_log_weights,
+    _chunk_rows,
+    _grid_axes,
+    _LogMeanExp,
+    mixture_logpdf,
+    sample_mixture,
+)
 from amplify_acct.rdp_math import (
     GenericMixture,
     MixtureFamily,
@@ -168,11 +184,9 @@ def quad_renyi_points(m_num: GenericMixture, m_den: GenericMixture, alpha, spec:
     """
     a = validate_order(alpha)
     spec = spec or QuadratureSpec()
-    dim = m_num.dim
     axes = _grid_axes(m_num, m_den, a, spec)
     logws = [_axis_log_weights(ax) for ax in axes]
-    tail_size = int(np.prod([len(ax) for ax in axes[1:]])) if dim > 1 else 1
-    chunk_rows = max(1, _GRID_CHUNK_CELLS // max(tail_size, 1))
+    chunk_rows = _chunk_rows(math.prod(len(ax) for ax in axes[1:]))
 
     chunk_logs = []
     for start in range(0, len(axes[0]), chunk_rows):
@@ -266,3 +280,27 @@ def sample_mixture_choice(mixture: GenericMixture, n: int, rng: np.random.Genera
     x *= mixture.sigma
     x += mixture.centers[0] if len(mixture.weights) == 1 else mixture.centers[idx]
     return x
+
+
+def mc_estimates_per_chunk(m_num: GenericMixture, m_den: GenericMixture, a: int, spec, both: bool = False):
+    """``oracles._mc_estimates`` with every chunk drawn by ``sample_mixture`` and evaluated whole."""
+    if both and len(m_num.weights) == len(m_den.weights):
+        return mc_estimates_per_chunk(m_num, m_den, a, spec) + mc_estimates_per_chunk(m_den, m_num, a, spec)
+    numerator = len(m_num.weights) < len(m_den.weights)
+    prop = m_num if numerator else m_den
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    forward = _LogMeanExp()
+    reverse = _LogMeanExp() if both else None
+    n = spec.n_samples
+    for start in range(0, n, _MC_CHUNK):
+        x = sample_mixture(prop, min(_MC_CHUNK, n - start), rng)
+        log_num = mixture_logpdf(m_num, x)
+        log_den = mixture_logpdf(m_den, x)
+        log_prop = log_num if numerator else log_den
+        forward.add(a * log_num + (1 - a) * log_den - log_prop)
+        if reverse is not None:
+            reverse.add(a * log_den + (1 - a) * log_num - log_prop)
+    sides = ("numerator", "denominator") if numerator else ("denominator", "numerator")
+    if reverse is None:
+        return (forward.estimate(n, a, sides[0]),)
+    return forward.estimate(n, a, sides[0]), reverse.estimate(n, a, sides[1])

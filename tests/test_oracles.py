@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from amplify_acct.oracles import (
-    _GRID_CHUNK_CELLS,
+    _BLOCK,
     McSpec,
     QuadratureSpec,
+    _chunk_rows,
+    _draw_blocks,
     _grid_axes,
     _logsumexp_centers,
+    _mc_estimates,
     grid_spec,
     mc_renyi,
     mixture_logpdf,
@@ -31,6 +34,7 @@ from amplify_acct.rdp_math import (
 from reference_formulas import (
     gaussian_rdp_same_mean,
     logsumexp_centers_logaddexp,
+    mc_estimates_per_chunk,
     mixture_logpdf_direct,
     quad_renyi_points,
     reverse_bound_paper,
@@ -57,6 +61,16 @@ def with_duplicate_and_zero_weight_center(mixture):
 
 def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def traced_peak(f) -> int:
+    """Peak bytes tracemalloc sees while f() runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLogsumexpCenters:
@@ -155,13 +169,7 @@ class TestMixtureLogpdf:
         rows, centers = 1 << 18, len(mixture.weights)
         assert centers == 6
         x = np.random.default_rng(5).standard_normal((rows, 4))
-        tracemalloc.start()
-        try:
-            mixture_logpdf(mixture, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * rows * centers * 8
+        assert traced_peak(lambda: mixture_logpdf(mixture, x)) <= 5 * rows * centers * 8
 
 
 class TestQuadRenyi:
@@ -239,38 +247,57 @@ class TestQuadRenyi:
             ref = quad_renyi_points(num, den, 3)
             assert abs(quad_renyi(num, den, 3) - ref) <= 1e-13 * abs(ref)
 
+    def test_chunks_hold_one_block_of_cells_and_at_least_a_row(self):
+        assert [_chunk_rows(tail) for tail in (1, 541, _BLOCK, _BLOCK + 1, 68_121)] == [_BLOCK, _BLOCK // 541, 1, 1, 1]
+
     def test_peak_memory_of_a_three_dim_chunk(self):
-        # Unit: chunk cells x (centers + 1) x 8 B.  The point-array
+        # Unit: chunk cells x (centers + 1) x 8 B.  A chunk is one row of the
+        # grid's tail: 32,761 cells at c/sigma = 1, alpha = 2, and 68,121,
+        # more than a block, at c/sigma = 2, alpha = 5.  The point-array
         # reference, with its (cells, dim) points and (cells, centers)
-        # matmuls, peaks at 6.3 units here; the broadcast grid, with the
-        # one-center side folded into the per-axis weights, at 1.03.
+        # matmuls, peaks at 4.3 and 4.1 units; the broadcast grid, with the
+        # one-center side folded into the per-axis weights, at 1.08.
         origin = point_mixture(np.zeros(3), 1.0)
-        mixture = family_mixture(MixtureFamily(3, 1, 1.0, 1.0))
         spec = grid_spec(3)
-        axes = _grid_axes(origin, mixture, 2, spec)
-        tail = len(axes[1]) * len(axes[2])
-        chunk_cells = min(len(axes[0]), _GRID_CHUNK_CELLS // tail) * tail
-        tracemalloc.start()
-        try:
-            quad_renyi(origin, mixture, 2, spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * chunk_cells * (len(mixture.weights) + 1) * 8
+        for ratio, alpha in ((1.0, 2), (2.0, 5)):
+            mixture = family_mixture(MixtureFamily(3, 1, ratio, 1.0))
+            axes = _grid_axes(origin, mixture, alpha, spec)
+            tail = len(axes[1]) * len(axes[2])
+            chunk_cells = min(len(axes[0]), _chunk_rows(tail)) * tail
+            peak = traced_peak(lambda: quad_renyi(origin, mixture, alpha, spec))
+            assert peak <= 3 * chunk_cells * (len(mixture.weights) + 1) * 8
+
+    def test_peak_memory_of_a_two_dim_cell_is_one_block(self):
+        # Unit: one block of cells x (centers + 1) x 8 B.  The 541 x 541
+        # grid of this sandwich cell runs in chunks of 60 rows, and peaks at
+        # about 1.1 units; one chunk of the whole grid would take 9.3.
+        family = MixtureFamily(2, 1, 1.0, 1.0)
+        mixture = family_mixture(family)
+        origin = point_mixture(np.zeros(2), 1.0)
+        assert len(_grid_axes(mixture, origin, 3, grid_spec(2))[1]) == 541
+        peak = traced_peak(lambda: verify_sandwich(family, 3))
+        assert peak <= 2 * _BLOCK * (len(mixture.weights) + 1) * 8
+
+    def test_block_chunks_regroup_the_sum_only(self, monkeypatch):
+        # Chunks of one block of cells against one chunk for the whole grid.
+        origin = point_mixture(np.zeros(2), 1.0)
+        three = GenericMixture(np.array([[1.0, 0.0], [0.0, 1.5], [-1.0, -0.5]]), np.array([0.2, 0.3, 0.5]), 1.0)
+        cells = [(family_mixture(MixtureFamily(2, 1, r, 1.0)), a) for r in (0.5, 2.0) for a in (2, 5)] + [(three, 3)]
+        pairs = [(p, q, a) for m, a in cells for p, q in ((m, origin), (origin, m))]
+        blocked = [quad_renyi(p, q, a) for p, q, a in pairs]
+        monkeypatch.setattr("amplify_acct.oracles._BLOCK", 1 << 30)
+        for (p, q, a), v in zip(pairs, blocked):
+            whole = quad_renyi(p, q, a)
+            assert abs(v - whole) <= 1e-15 * (1.0 + abs(whole))
 
     def test_one_center_pair_builds_no_grid(self):
         # Per-axis sums only: about 15 kB here, where one chunk of this
-        # 3-D grid would take 33 MB.
+        # 3-D grid (one 29,920-cell row, and a log density for each side)
+        # would take 0.5 MB.
         spec = grid_spec(3)
         point = point_mixture([1.0, 0.5, -0.3], 1.0)
         origin = point_mixture(np.zeros(3), 1.0)
-        tracemalloc.start()
-        try:
-            quad_renyi(point, origin, 3, spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced_peak(lambda: quad_renyi(point, origin, 3, spec)) < 1 << 20
 
 
 class TestMcRenyi:
@@ -296,6 +323,52 @@ class TestMcRenyi:
                     draw = sample_mixture(mixture, n, rng)
                     assert np.array_equal(bits(draw), bits(sample_mixture_choice(mixture, n, ref)))
                 assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, (1 << 20) + 3])
+    def test_block_draws_join_to_the_one_draw(self, n):
+        # One center and six: the blocks are the rows of sample_mixture's one
+        # (n, dim) draw bit for bit, with the stream left in the same state.
+        for mixture in (point_mixture([0.5, -1.0, 0.2, 0.0], 1.3), family_mixture(MixtureFamily(4, 2, 0.7, 1.3))):
+            rng, ref = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
+            whole = sample_mixture(mixture, n, ref)
+            start = 0
+            for block in _draw_blocks(mixture, n, rng, _BLOCK):
+                assert len(block) == min(_BLOCK, n - start)
+                assert np.array_equal(bits(block), bits(whole[start : start + len(block)]))
+                start += len(block)
+            assert start == n
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    def test_blocks_match_the_per_chunk_loop(self):
+        # The same draws, evaluated one block at a time: only the grouping of
+        # the log-mean-exp sums differs from whole chunks.  The last case
+        # draws from a two-center side across a chunk boundary.
+        origin = point_mixture(np.zeros(4), 1.0)
+        two = GenericMixture(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]), np.array([0.3, 0.7]), 1.0)
+        cases = [
+            (family_mixture(MixtureFamily(4, 2, 1.0, 1.0)), origin, 3, True, 200_000),
+            (family_mixture(MixtureFamily(4, 4, 1.0, 1.0)), origin, 2, True, 100_000),
+            (origin, family_mixture(MixtureFamily(4, 1, 1.5, 1.0)), 5, False, 100_000),
+            (two, family_mixture(MixtureFamily(4, 2, 1.0, 1.0)), 2, True, (1 << 20) + 3 * _BLOCK + 7),
+        ]
+        for num, den, alpha, both, n in cases:
+            spec = McSpec(n_samples=n, seed=13)
+            got = _mc_estimates(num, den, alpha, spec, both)
+            ref = mc_estimates_per_chunk(num, den, alpha, spec, both)
+            assert len(got) == len(ref) == 1 + both
+            for g, r in zip(got, ref):
+                assert (g.n_samples, g.proposal, g.low_confidence) == (r.n_samples, r.proposal, r.low_confidence)
+                for v, w in ((g.estimate, r.estimate), (g.stderr, r.stderr)):
+                    assert abs(v - w) <= 2e-15 * (1.0 + abs(w))
+
+    def test_peak_memory_of_a_sandwich_cell_is_one_block(self):
+        # Unit: one block of draws and its component matrix, _BLOCK x (dim +
+        # centers) x 8 B.  The 200k-draw cell of the benchmark peaks at
+        # about 1.8 units; whole 2^20-draw chunks took 8.5.
+        family = MixtureFamily(4, 2, 1.0, 1.0)
+        centers = len(family_mixture(family).weights)
+        peak = traced_peak(lambda: verify_sandwich(family, 3, mc_spec=McSpec(n_samples=200_000, seed=0)))
+        assert peak <= 3 * _BLOCK * (family.d + centers) * 8
 
     def test_identical_families_near_zero(self):
         g = point_mixture([0.0, 0.0], 1.0)

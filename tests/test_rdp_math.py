@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from amplify_acct.rdp_math import (
+    CostGuardWarning,
     CostLimitError,
     GenericMixture,
     MixtureFamily,
@@ -38,6 +40,8 @@ from amplify_acct.rdp_math import (
     _order_ints,
     _overlap_counts,
     _overlap_log_weights,
+    _OneHotReverse,
+    _REV_S_MIN,
     _TwoHotReverse,
     forward_exact_k1_curve,
     forward_poisson_cap_curve,
@@ -238,6 +242,48 @@ class TestReverseBoundQuadrature:
         assert np.all(np.diff(values) >= -1e-12 * values[1:])
         am_gm = (np.array(orders) + d - 1) * ratio**2 / (2 * d)
         assert np.all(values <= am_gm * (1 + 1e-12))
+
+    def test_subnormal_cell_takes_the_cap_within_budget(self):
+        # Hypothesis seed 9 drew this cell: theta = s^2/2 is subnormal, the
+        # one-hot quadrature never settles, and its window had grown past
+        # 5e7 points (a MemoryError after 27 s under a 1.5 GB cap).  Below
+        # _REV_S_MIN the curve returns the AM-GM cap rounded up, without a
+        # quadrature; the class itself stops at the refinement guard.
+        s, b = 2.809e-162, 8
+        orders = np.array([2, 10, 1000])
+        spent = []
+
+        def budget(f):
+            t0 = time.perf_counter()
+            tracemalloc.start()
+            try:
+                out = f()
+                spent.append((tracemalloc.get_traced_memory()[1], time.perf_counter() - t0))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        cap = (orders + b - 1.0) * (s * s / 2.0) / b
+        values = budget(lambda: reverse_bound_curve(MixtureFamily(b, 1, s, 1.0), orders))
+        assert np.array_equal(values, np.nextafter(cap, np.inf)) and np.all(values > 0)
+        with pytest.warns(CostGuardWarning, match="refinement guard"):
+            guarded = budget(lambda: _OneHotReverse(b, s).divergences(np.array([1.0])))
+        assert np.array_equal(guarded, cap[:1])
+        (curve_peak, curve_s), (class_peak, class_s) = spent
+        assert curve_peak < 1 << 20 and curve_s < 1.0
+        assert class_peak < 32 << 20 and class_s < 10.0
+
+    def test_cap_takes_over_below_the_threshold_and_bounds_the_truth(self):
+        # At s = 1e-160 the quadrature read 2.8% below the truth alpha theta / b
+        # (to leading order); at and above _REV_S_MIN it matches to 1e-12.
+        b, orders = 8, np.array([2, 10, 100])
+        for s in (1e-160, 0.99 * _REV_S_MIN, _REV_S_MIN, 1e-100):
+            truth = orders * (s * s / 2.0) / b
+            values = reverse_bound_curve(MixtureFamily(b, 1, s, 1.0), orders)
+            if s < _REV_S_MIN:
+                assert np.all(values >= truth * (1 + (b - 1) / orders) * (1 - 1e-15))
+            else:
+                assert values == pytest.approx(truth, rel=1e-12)
 
 
 def gauss_hermite_two_hot_reverse(d, s, alpha, nodes=12):
