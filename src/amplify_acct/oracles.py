@@ -70,6 +70,7 @@ from .rdp_math import (
     GenericMixture,
     MixtureFamily,
     _logsumexp,
+    check_fields,
     epsilon_loose,
     family_mixture,
     forward_bound,
@@ -159,6 +160,7 @@ class McSpec:
     def __post_init__(self):
         if self.n_samples < 100_000:
             raise ValueError(f"n_samples must be >= 1e5, got {self.n_samples}")
+        check_fields(seed=self.seed)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,7 @@ _FIELD_RULES = {
     ),
     "gamma": ("be in (0, 1]", lambda v: not 0 < v <= 1),
     "delta": ("be in (0, 1)", lambda v: not 0 < v < 1),
+    "seed": ("be >= 0", lambda v: v < 0),
 }
 
 
@@ -120,8 +121,9 @@ def check_fields(spec=None, /, **values) -> None:
 
     The values are the fields of the dataclass ``spec``, or the keywords.
     c, c_split and c_nonsplit are >= 0; sigma > 0; d, T, count, n_epochs and
-    the task sizes >= 1; gamma in (0, 1]; delta in (0, 1); 1 <= k <= T, or
-    <= d where there is no T.  Names without a rule pass unchecked.
+    the task sizes >= 1; gamma in (0, 1]; delta in (0, 1); seed >= 0;
+    1 <= k <= T, or <= d where there is no T.  Names without a rule pass
+    unchecked.
     """
     if spec is not None:
         values = {f.name: getattr(spec, f.name) for f in fields(spec)}

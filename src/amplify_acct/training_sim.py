@@ -19,13 +19,19 @@ label, iteration): one array per iteration and purpose (noise,
 participation, submodel assignment, dropout masks), drawn for all n
 samples even when fewer take part; sample i reads entry i, so its value
 depends only on (seed, purpose, iteration, i) and per-sample work could
-be evaluated in any order.  Same seed, same trace, bit for bit.
+be evaluated in any order.  Same seed, same trace, bit for bit.  A run
+derives the Philox keys of each label for all its iterations in one
+vectorised pass of numpy's SeedSequence hash (``_stream_keys``) and draws
+from one Philox re-keyed per (label, iteration) (``_RunStreams``): the
+streams are exactly those of ``stream(seed, label, t)``, without a
+SeedSequence, Philox and Generator built per draw.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from itertools import islice
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
@@ -68,10 +74,103 @@ def stream(seed: int, *path) -> np.random.Generator:
     """Independent Philox stream for a (seed, label, indices...) path.
 
     Labels hash through crc32, not Python's randomized str hash, so the
-    same path gives the same stream in every process.
+    same path gives the same stream in every process.  The training loop
+    draws the same (seed, label, t) streams from keys derived once per run
+    (``_RunStreams``); this builds a fresh generator per call and serves
+    the per-run draws (task, init, bis).
     """
     key = tuple(zlib.crc32(p.encode()) if isinstance(p, str) else int(p) for p in path)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's (xor, multiplier) pairs: hash call j xors by init·mult^j and multiplies by init·mult^(j+1)."""
+    while True:
+        nxt = init * mult & _M32
+        yield init, nxt
+        init = nxt
+
+
+def _columns(constants) -> tuple:
+    """The next four (xor, multiplier) pairs as two (4, 1) uint32 columns, one hash call per row."""
+    return tuple(np.array(list(islice(constants, 4)), dtype=np.uint32).T[:, :, None])
+
+
+_STATE_COLUMNS = _columns(_hash_constants(_INIT_B, _MULT_B))
+
+
+def _hash(value, constants):
+    """numpy's ``hashmix`` under one (xor, multiplier) pair, on Python ints or uint32 arrays."""
+    xor, mult = constants
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of two 32-bit words."""
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+def _stream_keys(seed: int, label: str, T: int) -> np.ndarray:
+    """(T, 2) uint64 Philox keys; row t is the key ``stream(seed, label, t)`` starts from.
+
+    Row t is ``SeedSequence(seed, spawn_key=(crc32(label), t)).generate_state(2,
+    np.uint64)``: numpy's hash of the entropy words (the seed's 32-bit words,
+    zero-padded to the pool size of 4, then crc32(label), then t) into a pool
+    of 4, and the pool hashed out to 4 words.  Only the last word, t, varies,
+    so every word before it mixes in Python ints and t in one (4, T) uint32
+    pass.  The seed must be >= 0 (``check_fields``).  Raises ValueError when
+    t would need a second word (T > 2^32), where numpy hashes another word.
+    """
+    if T > 1 << 32:
+        raise ValueError(f"per-iteration streams take T <= 2**32, got {T}")
+    seed = int(seed)
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [zlib.crc32(label.encode())]
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, next(consts)) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts)))
+    for word in words[4:]:
+        pool = [_mix(p, _hash(word, next(consts))) for p in pool]
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hash(np.arange(T, dtype=np.uint32), _columns(consts)))
+    state = _hash(pool, _STATE_COLUMNS)  # generate_state's 4 words, read as 2 little-endian uint64s like numpy
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+class _RunStreams:
+    """A run's per-iteration streams, ``stream(seed, label, t)`` bit for bit, from one Philox.
+
+    A label's keys are derived for every t < T on its first use, 16·T bytes
+    per label.  ``streams(label, t)`` sets the Philox to that key in the
+    state a fresh one starts from and returns the run's one Generator.
+    """
+
+    def __init__(self, seed: int, T: int):
+        self.seed, self.T, self.keys = seed, T, {}
+        self.bit_generator = np.random.Philox(0)
+        self.rng = np.random.Generator(self.bit_generator)
+
+    def __call__(self, label: str, t: int) -> np.random.Generator:
+        if label not in self.keys:
+            self.keys[label] = _stream_keys(self.seed, label, self.T)
+        # A fresh Philox's state but for the key: counter 0, the 4-word buffer read out, no spare 32-bit word.
+        key = self.keys[label][t]
+        self.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+                                    "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self.rng
 
 
 @dataclass(frozen=True)
@@ -107,7 +206,7 @@ def _regression_data(n_samples: int, in_dim: int, seed: int, noise: float) -> tu
 
 
 def make_linear_task(n_samples: int, param_dim: int, seed: int, noise: float = 0.1) -> SyntheticTask:
-    check_fields(n_samples=n_samples, param_dim=param_dim)
+    check_fields(n_samples=n_samples, param_dim=param_dim, seed=seed)
     return SyntheticTask(*_regression_data(n_samples, param_dim, seed, noise))
 
 
@@ -164,7 +263,7 @@ class HiddenLayerTask:
 
 
 def make_hidden_task(n_samples: int, in_dim: int, hidden_dim: int, seed: int, noise: float = 0.1) -> HiddenLayerTask:
-    check_fields(n_samples=n_samples, in_dim=in_dim, hidden_dim=hidden_dim)
+    check_fields(n_samples=n_samples, in_dim=in_dim, hidden_dim=hidden_dim, seed=seed)
     return HiddenLayerTask(*_regression_data(n_samples, in_dim, seed, noise), hidden_dim)
 
 
@@ -193,6 +292,7 @@ class SplitPlan:
 
 def even_split_plan(param_dim: int, d: int) -> SplitPlan:
     """Partition [0, param_dim) into d contiguous blocks."""
+    check_fields(d=d)
     if param_dim < d:
         raise ValueError(f"cannot split {param_dim} parameters into {d} blocks")
     bounds = np.linspace(0, param_dim, d + 1).astype(int)
@@ -221,7 +321,8 @@ class SimConfig:
     delta: float = 1e-5
 
     def __post_init__(self):
-        check_fields(T=self.T, c=self.c, delta=self.delta)  # sigma, k and gamma have their own rules here
+        # sigma, k and gamma have their own rules here.
+        check_fields(T=self.T, c=self.c, delta=self.delta, seed=self.seed)
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.mode not in ("plain", "model_split", "dropout"):
@@ -317,31 +418,32 @@ def assign_bis_schedule(n: int, T: int, k: int, seed: int) -> np.ndarray:
     keys.  Rows are iid, so every row sums to exactly k, column sums are
     Binomial(n, k/T), and the first rows do not depend on n.
     """
-    check_fields(T=T, k=k, n_samples=n)
+    check_fields(T=T, k=k, n_samples=n, seed=seed)
     keys = stream(seed, "bis").random((n, T))
     return (keys.argsort(axis=1).argsort(axis=1) < k).astype(np.uint8)
 
 
-def _participants(config: SimConfig, n: int, t: int, bis_matrix) -> np.ndarray:
+def _participants(config: SimConfig, n: int, t: int, bis_matrix, streams):
+    """Iteration t's sample rows: an index array, or ``slice(None)`` (every row, as it is) under "all"."""
     if config.schedule == "all":
-        return np.arange(n)
+        return slice(None)
     if config.schedule == "bis":
         return np.flatnonzero(bis_matrix[:, t])
-    return np.flatnonzero(stream(config.seed, "poisson", t).random(n) < config.gamma)
+    return np.flatnonzero(streams("poisson", t).random(n) < config.gamma)
 
 
-def _plain_step(task, config, w, t, participants):
+def _plain_step(task, config, w, t, participants, streams):
     """Unmasked per-sample gradients."""
     return task.per_sample_gradients(w)[participants], {}
 
 
-def _split_step(task, config, w, t, participants, allowed):
+def _split_step(task, config, w, t, participants, streams, allowed):
     """Per-sample gradients masked to one uniformly drawn block.
 
     ``allowed[b]`` marks the parameters of block ``b``, built once per run.
     """
     plan = config.plan
-    blocks = stream(config.seed, "assign", t).integers(plan.d, size=task.n_samples)[participants]
+    blocks = streams("assign", t).integers(plan.d, size=task.n_samples)[participants]
     outside = ~allowed[blocks]
     grads = task.per_sample_gradients(w)[participants]
     grads[outside] = 0.0
@@ -351,7 +453,7 @@ def _split_step(task, config, w, t, participants, allowed):
     }
 
 
-def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None):
+def _dropout_step(task, config, w, t, participants, streams, incidence, forced_mask=None):
     """Per-sample gradients under a rate-0.5 mask on the hidden units.
 
     ``incidence[u]`` is 1.0 on the parameters unit ``u`` feeds or reads and
@@ -362,9 +464,9 @@ def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None)
     matmul, which numpy cannot hand to BLAS.
     """
     if forced_mask is None:
-        masks = stream(config.seed, "mask", t).integers(0, 2, size=(task.n_samples, task.hidden_dim))[participants]
+        masks = streams("mask", t).integers(0, 2, size=(task.n_samples, task.hidden_dim))[participants]
     else:
-        masks = np.broadcast_to(forced_mask, (len(participants), task.hidden_dim))
+        masks = np.broadcast_to(forced_mask, (task.n_samples, task.hidden_dim))[participants]
     grads = task.per_sample_gradients(w, participants, masks)
     return grads, {
         "zeroing_violations": int(np.count_nonzero(grads[((masks == 0.0) @ incidence) > 0.0])),
@@ -376,32 +478,36 @@ def _dropout_step(task, config, w, t, participants, incidence, forced_mask=None)
 def _train(task, config: SimConfig, step, w: np.ndarray) -> SimTrace:
     """The clipped, noised gradient-descent loop shared by every mode, from ``w``.
 
-    ``step(task, config, w, t, participants)`` returns the iteration's
-    masked gradients, one row per participant in order, and its record
-    fields (masking diagnostics; ``support_violations`` is zero by
+    ``step(task, config, w, t, participants, streams)`` returns the
+    iteration's masked gradients, one row per participant in order, and its
+    record fields (masking diagnostics; ``support_violations`` is zero by
     construction).  The loop owns participation, clipping by row (row
     norms, scales, max and mean as arrays), the sum in participant order,
     the noise draw, the update and the record.  Each random draw covers
-    all n samples at once.
+    all n samples at once.  Every per-iteration draw comes from the run's
+    one ``_RunStreams``: keys derived once per run, one Philox re-keyed per
+    (label, t), the same streams as ``stream(seed, label, t)``.  Row norms
+    are ``np.linalg.norm``'s own body, ``sqrt(add.reduce(g * g))``.
     """
     n, m = task.n_samples, task.param_dim
     bis_matrix = assign_bis_schedule(n, config.T, config.k, config.seed) if config.schedule == "bis" else None
+    streams = _RunStreams(config.seed, config.T)
 
     trace = SimTrace(config=config)
     if bis_matrix is not None:
         trace.bis_row_sums = [int(s) for s in bis_matrix.sum(axis=1)]
     for t in range(config.T):
-        participants = _participants(config, n, t, bis_matrix)
-        grads, diag = step(task, config, w, t, participants)
-        norms = np.linalg.norm(grads, axis=1)
+        participants = _participants(config, n, t, bis_matrix, streams)
+        grads, diag = step(task, config, w, t, participants, streams)
+        norms = np.sqrt(np.add.reduce(grads * grads, axis=1))
         grads *= np.divide(config.c, norms, out=np.ones_like(norms), where=norms > config.c)[:, None]
         clipped = np.minimum(norms, config.c)
-        noise = config.sigma * stream(config.seed, "noise", t).standard_normal(m)
+        noise = config.sigma * streams("noise", t).standard_normal(m)
         w = w - config.learning_rate * (grads.sum(axis=0) + noise)
         trace.records.append(
             {
                 "iteration": t,
-                "participants": len(participants),
+                "participants": len(grads),
                 "assignment_counts": None,
                 "max_clipped_norm": float(clipped.max(initial=0.0)),
                 "mean_clipped_norm": float(clipped.sum()) / max(len(clipped), 1),

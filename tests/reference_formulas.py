@@ -56,6 +56,15 @@
                                 rows at a time instead.  Same draws; the
                                 tests hold the estimates within 2e-15
                                 (1 + |value|).
+* ``train_per_draw_streams`` -- the simulator's training loop (every mode
+                                and schedule) with a fresh ``stream(seed,
+                                label, t)`` generator per draw, row norms
+                                by ``np.linalg.norm`` and the "all"
+                                schedule as an ``np.arange(n)`` index;
+                                ``training_sim._train`` keys its streams
+                                once per run and re-keys one Philox
+                                instead.  Pinned bit for bit: trace text,
+                                final parameters and zeroing counts.
 
 The exact forward enumeration has no copy here: ``rdp_math.forward_exact_enum``
 is itself the independent check of the overlap-count path, and
@@ -86,6 +95,7 @@ from amplify_acct.rdp_math import (
     log_comb,
     validate_order,
 )
+from amplify_acct.training_sim import SimTrace, assign_bis_schedule, report_privacy, stream
 
 
 class DivergenceUndefinedError(ValueError):
@@ -304,3 +314,78 @@ def mc_estimates_per_chunk(m_num: GenericMixture, m_den: GenericMixture, a: int,
     if reverse is None:
         return (forward.estimate(n, a, sides[0]),)
     return forward.estimate(n, a, sides[0]), reverse.estimate(n, a, sides[1])
+
+
+def train_per_draw_streams(task, config, forced_mask=None):
+    """``run_model_split_training`` / ``run_dropout_training`` with one fresh ``stream`` per draw."""
+    n, m = task.n_samples, task.param_dim
+    seed = config.seed
+    if config.mode == "dropout":
+        incidence = np.array(
+            [np.isin(np.arange(m), task.incident_indices(u)) for u in range(task.hidden_dim)], dtype=float
+        )
+        w = stream(seed, "init").standard_normal(m) / np.sqrt(task.in_dim)
+    else:
+        w = np.zeros(m)
+    if config.mode == "model_split":
+        allowed = np.zeros((config.plan.d, m), dtype=bool)
+        for b, block in enumerate(config.plan.blocks):
+            allowed[b, list(block)] = True
+    bis_matrix = assign_bis_schedule(n, config.T, config.k, seed) if config.schedule == "bis" else None
+    trace = SimTrace(config=config)
+    if bis_matrix is not None:
+        trace.bis_row_sums = [int(s) for s in bis_matrix.sum(axis=1)]
+    for t in range(config.T):
+        if config.schedule == "all":
+            participants = np.arange(n)
+        elif config.schedule == "bis":
+            participants = np.flatnonzero(bis_matrix[:, t])
+        else:
+            participants = np.flatnonzero(stream(seed, "poisson", t).random(n) < config.gamma)
+        diag = {}
+        if config.mode == "plain":
+            grads = task.per_sample_gradients(w)[participants]
+        elif config.mode == "model_split":
+            blocks = stream(seed, "assign", t).integers(config.plan.d, size=n)[participants]
+            outside = ~allowed[blocks]
+            grads = task.per_sample_gradients(w)[participants]
+            grads[outside] = 0.0
+            diag = {
+                "assignment_counts": np.bincount(blocks, minlength=config.plan.d).tolist(),
+                "support_violations": int(np.count_nonzero(grads[outside])),
+            }
+        else:
+            if forced_mask is None:
+                masks = stream(seed, "mask", t).integers(0, 2, size=(n, task.hidden_dim))[participants]
+            else:
+                masks = np.broadcast_to(forced_mask, (len(participants), task.hidden_dim))
+            grads = task.per_sample_gradients(w, participants, masks)
+            diag = {
+                "zeroing_violations": int(np.count_nonzero(grads[((masks == 0.0) @ incidence) > 0.0])),
+                "mask_ones": int(masks.sum()),
+                "mask_draws": masks.size,
+            }
+        norms = np.linalg.norm(grads, axis=1)
+        grads *= np.divide(config.c, norms, out=np.ones_like(norms), where=norms > config.c)[:, None]
+        clipped = np.minimum(norms, config.c)
+        noise = config.sigma * stream(seed, "noise", t).standard_normal(m)
+        w = w - config.learning_rate * (grads.sum(axis=0) + noise)
+        trace.records.append(
+            {
+                "iteration": t,
+                "participants": len(participants),
+                "assignment_counts": None,
+                "max_clipped_norm": float(clipped.max(initial=0.0)),
+                "mean_clipped_norm": float(clipped.sum()) / max(len(clipped), 1),
+                "noise_norm": float(np.linalg.norm(noise)),
+                "loss": task.loss(w),
+                "support_violations": 0,
+                "zeroing_violations": 0,
+                "mask_ones": None,
+                "mask_draws": None,
+                **diag,
+            }
+        )
+    trace.final_params = w
+    trace.privacy = report_privacy(config) if config.sigma > 0 else None
+    return trace

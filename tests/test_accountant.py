@@ -198,7 +198,10 @@ class TestFieldRules:
 
     @pytest.mark.parametrize(
         "field, bad",
-        [("count", 0), ("n_epochs", 0), ("n_samples", 0), ("hidden_dim", -1), ("delta", 0.0), ("delta", 1.0)],
+        [
+            ("count", 0), ("n_epochs", 0), ("n_samples", 0), ("hidden_dim", -1), ("delta", 0.0), ("delta", 1.0),
+            ("seed", -1),
+        ],
     )
     def test_keyword_values_name_their_field(self, field, bad):
         with pytest.raises(ValueError, match=rf"^{field} must .*, got {bad}$"):
@@ -210,7 +213,7 @@ class TestFieldRules:
             check_fields(d=3, k=4)
 
     def test_names_without_a_rule_pass(self):
-        check_fields(epsilon=-1.0, mode="any", seed=-3)
+        check_fields(epsilon=-1.0, mode="any", offset=-3)
 
 
 class TestCompose:

@@ -321,6 +321,15 @@ class TestVerify:
         assert "no exact forward path" in err
         assert out == ""
 
+    def test_negative_seed_exits_2_before_any_check(self, capsys, tmp_path):
+        out = tmp_path / "never.jsonl"
+        code, stdout, err = run(capsys, "verify", "--family", "d=2,k=1,c=1,sigma=1", "--seed", "-1",
+                                "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--checks", "sandwich,zigzag")
         assert code == EXIT_CONFIG
@@ -450,6 +459,24 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert f"{size} must be >= 1" in err
         assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--task-seed", "-1"], "seed must be >= 0, got -1"),
+            (["--mode", "dropout", "--task-seed", "-1"], "seed must be >= 0, got -1"),
+            (["--mode", "model-split", "--d", "-2"], "d must be >= 1, got -2"),
+            (["--mode", "model-split", "--d", "0"], "d must be >= 1, got 0"),
+        ],
+    )
+    def test_negative_seed_or_blockless_split_exits_2(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "never"
+        code, out, err = run(capsys, "simulate", "--T", "2", *argv, "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert err == f"error: {message}\n"
         assert out == ""
         assert not out_dir.exists()
 

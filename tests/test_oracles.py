@@ -414,6 +414,8 @@ class TestMcRenyi:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             McSpec(n_samples=10)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            McSpec(seed=-1)
 
 
 class TestVerifySandwich:

@@ -1,5 +1,6 @@
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,20 @@ from amplify_acct.training_sim import (
     run_dropout_training,
     run_model_split_training,
     stream,
+    _RunStreams,
+    _stream_keys,
 )
+from reference_formulas import train_per_draw_streams
+
+LABELS = ("poisson", "assign", "mask", "noise")
+KEY_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5)
+
+
+def _same_state(a, b):
+    """Two ``bit_generator.state`` dicts are equal, arrays entry for entry."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
 
 
 class TestStreams:
@@ -35,11 +49,51 @@ class TestStreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_keys_are_seed_sequence_states(self, seed):
+        T = 37
+        for label in LABELS:
+            keys = _stream_keys(seed, label, T)
+            assert keys.shape == (T, 2) and keys.dtype == np.uint64
+            for t in (0, 1, T - 1):
+                sequence = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(label.encode()), t))
+                assert np.array_equal(keys[t], sequence.generate_state(2, np.uint64))
+                assert np.array_equal(keys[t], stream(seed, label, t).bit_generator.state["state"]["key"])
+
+    def test_keys_refuse_a_second_iteration_word(self):
+        # Row t >= 2^32 would hash t as two words; the check comes before any allocation.
+        with pytest.raises(ValueError, match=r"T <= 2\*\*32, got 4294967297"):
+            _stream_keys(0, "noise", 2**32 + 1)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_rekeyed_generator_draws_as_stream(self, seed):
+        # One generator serves every (label, t) in turn; odd integer counts leave
+        # a half-used 32-bit word and a partly read buffer behind, which re-keying must drop.
+        n, h, d, T = 7, 3, 5, 4
+        streams = _RunStreams(seed, T)
+        draws = [
+            lambda rng: rng.standard_normal(n),
+            lambda rng: rng.random(n),
+            lambda rng: rng.integers(d, size=n),
+            lambda rng: rng.integers(0, 2, size=(n, h)),
+        ]
+        for t in (0, T - 1, 1):
+            for label in LABELS:
+                for draw in draws:
+                    rng, fresh = streams(label, t), stream(seed, label, t)
+                    assert np.array_equal(draw(rng), draw(fresh))
+                    assert _same_state(rng.bit_generator.state, fresh.bit_generator.state)
+
 
 class TestSplitPlan:
     def test_rejects_overlapping_blocks(self):
         with pytest.raises(ValueError):
             SplitPlan(((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_even_split_needs_a_block(self, d):
+        with pytest.raises(ValueError, match=rf"^d must be >= 1, got {d}$"):
+            even_split_plan(6, d)
 
     def test_even_split_shapes(self):
         plan = even_split_plan(10, 3)
@@ -62,6 +116,17 @@ class TestTasks:
     def test_empty_task_rejected(self, make, sizes, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
             make(*sizes, seed=1)
+
+    @pytest.mark.parametrize("make, sizes", [(make_linear_task, (4, 3)), (make_hidden_task, (4, 3, 2))])
+    def test_negative_seed_rejected(self, make, sizes):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            make(*sizes, seed=-1)
+
+    def test_negative_run_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SimConfig(T=2, c=1.0, sigma=1.0, seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            assign_bis_schedule(3, 2, 1, seed=-1)
 
 
 class TestModelSplitRun:
@@ -393,3 +458,64 @@ class TestTraceSerialization:
         trace.write_jsonl(tmp_path / "trace.jsonl")
         expected = "".join(json.dumps(record, sort_keys=True) + "\n" for record in trace.records)
         assert (tmp_path / "trace.jsonl").read_bytes() == expected.encode()
+
+
+def _run(task, config, forced_mask=None):
+    if config.mode == "dropout":
+        return run_dropout_training(task, config, forced_mask=forced_mask)
+    return run_model_split_training(task, config)
+
+
+def _task(mode, n=12, m=6, seed=1):
+    return make_hidden_task(n, m, 3, seed=seed) if mode == "dropout" else make_linear_task(n, m, seed=seed)
+
+
+def _assert_same_trace(tmp_path, trace, reference):
+    trace.write_jsonl(tmp_path / "trace.jsonl")
+    reference.write_jsonl(tmp_path / "reference.jsonl")
+    assert (tmp_path / "trace.jsonl").read_text() == (tmp_path / "reference.jsonl").read_text()
+    assert trace.final_params.tobytes() == reference.final_params.tobytes()
+    assert trace.bis_row_sums == reference.bis_row_sums
+    assert trace.privacy == reference.privacy
+
+
+class TestTracesAgainstPerDrawStreams:
+    """Keys derived once per run and one re-keyed Philox give the per-draw loop's traces bit for bit."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("schedule", ["all", "bis", "poisson"])
+    @pytest.mark.parametrize("mode", ["plain", "model_split", "dropout"])
+    def test_every_mode_and_schedule(self, tmp_path, mode, schedule, sigma):
+        config = SimConfig(T=9, c=0.5, sigma=sigma, mode=mode, schedule=schedule, k=3 if schedule == "bis" else None,
+                           gamma=0.4 if schedule == "poisson" else None, seed=2**40 + 7,
+                           plan=even_split_plan(6, 3) if mode == "model_split" else None)
+        task = _task(mode)
+        _assert_same_trace(tmp_path, _run(task, config), train_per_draw_streams(task, config))
+
+    @pytest.mark.parametrize("schedule", ["all", "poisson"])
+    @pytest.mark.parametrize("mask", [[0, 0, 0], [1, 1, 1], [1, 0, 0]])
+    def test_forced_masks(self, tmp_path, mask, schedule):
+        config = SimConfig(T=5, c=1.0, sigma=1.0, mode="dropout", schedule=schedule,
+                           gamma=0.5 if schedule == "poisson" else None, seed=3)
+        task = _task("dropout")
+        mask = np.array(mask, dtype=float)
+        _assert_same_trace(tmp_path, _run(task, config, mask), train_per_draw_streams(task, config, mask))
+
+    @pytest.mark.parametrize("mode", ["plain", "model_split", "dropout"])
+    def test_iteration_without_participants(self, tmp_path, mode):
+        # The seed-164 run of TestSchedulesInRuns, whose third iteration is empty.
+        config = SimConfig(T=4, c=1.0, sigma=1.0, mode=mode, schedule="poisson", gamma=0.3, seed=164,
+                           plan=even_split_plan(4, 2) if mode == "model_split" else None)
+        task = _task(mode, n=3, m=4, seed=0)
+        trace = _run(task, config)
+        assert trace.records[2]["participants"] == 0
+        _assert_same_trace(tmp_path, trace, train_per_draw_streams(task, config))
+
+    def test_leaky_task_counts(self, tmp_path):
+        base = make_hidden_task(20, 4, 3, seed=4)
+        config = SimConfig(T=5, c=1.0, sigma=1.0, mode="dropout", seed=2)
+        trace = _run(LeakyHiddenTask(base.features, base.targets, base.hidden_dim), config)
+        reference = train_per_draw_streams(LeakyHiddenTask(base.features, base.targets, base.hidden_dim), config)
+        assert [r["zeroing_violations"] for r in trace.records] == [r["zeroing_violations"] for r in reference.records]
+        assert trace.zeroing_violations > 0
+        _assert_same_trace(tmp_path, trace, reference)
