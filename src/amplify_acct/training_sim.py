@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import zlib
-from itertools import islice
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import islice
 from typing import Optional
 
 import numpy as np
